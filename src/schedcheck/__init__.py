@@ -14,7 +14,7 @@ from .checker import (GoalExpr, TaskAssertion, VerificationResult,
                       parse_properties, verify, verify_assertion)
 from .config import ClusterConfig, load_config, parse_config_text
 from .model import (GlobalState, WitnessTrace, build_cluster, canonical_key,
-                    iter_transitions, replay, successors, wait_for_graph)
+                    iter_transitions, replay, wait_for_graph)
 from .rates import RateMetrics, compute_rates
 from .trace import (GeneratorSpec, TaskRecord, WorkloadTrace, parse,
                     parse_generator_spec, stats, synthesize, write)
@@ -31,6 +31,6 @@ __all__ = [
     "detected_failures", "df_from_percentages", "iter_transitions",
     "load_config", "parse", "parse_config_text", "parse_generator_spec",
     "parse_properties", "predicted_outcomes", "replay", "run",
-    "run_to_quiescence", "stats", "successors", "sweep", "synthesize",
+    "run_to_quiescence", "stats", "sweep", "synthesize",
     "verify", "verify_assertion", "wait_for_graph", "write",
 ]

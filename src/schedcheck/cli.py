@@ -257,11 +257,10 @@ def _build_parser():
                     "against trace ground truth, compare configurations.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, traced=True):
+    def common(sp):
         sp.add_argument("--config", help="cluster config file (key=value)")
-        if traced:
-            sp.add_argument("--trace", nargs="+", required=True,
-                            help="workload trace CSV file(s)")
+        sp.add_argument("--trace", nargs="+", required=True,
+                        help="workload trace CSV file(s)")
         sp.add_argument("--scheduler", choices=["fifo", "fair", "capacity"],
                         help="override the configured scheduling policy")
         sp.add_argument("--strategy", choices=list(checker.STRATEGIES),
@@ -270,27 +269,19 @@ def _build_parser():
         sp.add_argument("--time-budget", type=float, default=0.0,
                         help="wall-clock budget in seconds (0 = none)")
         sp.add_argument("--out", help="write the JSON report here")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--properties", required=True)
 
     sp = sub.add_parser("verify", help="check properties against a workload")
     common(sp)
-    sp.add_argument("--properties", required=True)
-    sp.add_argument("--truth", action="store_true",
-                    help="accepted for interface symmetry; verification "
-                         "does not use outcome labels")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("analyze",
                         help="grade model predictions against trace outcomes")
     common(sp)
-    sp.add_argument("--properties", required=True)
-    sp.add_argument("--truth", action="store_true", default=True,
-                    help="use the trace outcome column as ground truth")
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("whatif", help="compare configurations")
     common(sp)
-    sp.add_argument("--properties", required=True)
     sp.add_argument("--scenario", help="config-override file")
     sp.add_argument("--sweep", choices=["nodes", "slots", "timeout",
                                         "scheduler"])
@@ -299,9 +290,10 @@ def _build_parser():
     sp.set_defaults(func=cmd_whatif)
 
     sp = sub.add_parser("gen", help="synthesize a workload trace CSV")
-    common(sp, traced=False)
     sp.add_argument("--spec", required=True,
                     help="generator parameters (key=value)")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--out", required=True, help="write the trace CSV here")
     sp.set_defaults(func=cmd_gen)
     return p
 
@@ -310,9 +302,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "gen" and getattr(args, "out", None) is None:
-            print("error: gen requires --out", file=sys.stderr)
-            return 3
         return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; --help exits 0

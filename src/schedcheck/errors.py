@@ -5,18 +5,6 @@ class SchedCheckError(Exception):
     """Base class for all package errors."""
 
 
-class UnboundVariable(SchedCheckError):
-    """An expression or guard referenced a name absent from the store."""
-
-
-class UndefinedProcess(SchedCheckError):
-    """A process call targets a name with no definition."""
-
-
-class RecursionBudgetExceeded(SchedCheckError):
-    """A path unfolded more process calls than the configured limit."""
-
-
 class ConfigInvalid(SchedCheckError):
     """A ClusterConfig field violates its invariant."""
 

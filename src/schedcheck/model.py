@@ -6,10 +6,6 @@ States are immutable values; every step operation produces new states, so
 exploration may share them freely. Logical time advances only at completion
 transitions, jumping to the earliest finish time among running tasks; queue
 wait is measured as start - submit.
-
-A companion process-algebra rendering of the activation phase is provided by
-`activation_kernel_state` so the structured transitions can be cross-checked
-against the interpreter in `kernel`.
 """
 
 from __future__ import annotations
@@ -23,8 +19,6 @@ from typing import NamedTuple
 from . import policies
 from .config import ClusterConfig
 from .errors import EmptyWorkload, SlotConflict
-from .kernel import (SKIP, Bin, Call, Const, Event, Guard, Idx, IndexedPar,
-                     KernelState, Par, Prefix, Seq, Var)
 from .smap import EMPTY_SMAP, SMap
 from .trace import MAP, WorkloadTrace
 
@@ -150,6 +144,11 @@ class Statics:
             if p is not None and 0 <= p < config.node_count)
 
 
+class Event(NamedTuple):
+    name: str
+    payload: int | None = None  # carried into witness steps and replay
+
+
 class Transition(NamedTuple):
     event: Event
     state: "GlobalState"
@@ -161,6 +160,34 @@ class GlobalState:
                  "taken", "extra", "extra_taken", "clock", "counters",
                  "namenode_on", "jobtracker_on", "running", "sched_pending",
                  "_th_sym", "_th_plain", "_jh", "_qh")
+
+    def __init__(self, statics: Statics, config: ClusterConfig, nodes: tuple,
+                 tasks=EMPTY_SMAP, jobs=EMPTY_SMAP, queue_head=0,
+                 taken=EMPTY_SMAP, extra=(), extra_taken=frozenset(), clock=0,
+                 counters=Counters(), namenode_on=False, jobtracker_on=False,
+                 running=(), sched_pending=(), th_sym=0, th_plain=0, jh=0,
+                 qh=0):
+        """The one constructor of a state; the defaults are the cold
+        cluster that build_cluster starts from."""
+        self.statics = statics
+        self.config = config
+        self.tasks = tasks
+        self.jobs = jobs
+        self.nodes = nodes
+        self.queue_head = queue_head
+        self.taken = taken
+        self.extra = extra
+        self.extra_taken = extra_taken
+        self.clock = clock
+        self.counters = counters
+        self.namenode_on = namenode_on
+        self.jobtracker_on = jobtracker_on
+        self.running = running
+        self.sched_pending = sched_pending
+        self._th_sym = th_sym
+        self._th_plain = th_plain
+        self._jh = jh
+        self._qh = qh
 
     def task(self, tid) -> TaskRT:
         return self.tasks.get(tid, DEFAULT_RT)
@@ -400,56 +427,33 @@ class _Builder:
             self.qh = (self.qh - h128("q", self.queue_head)) % _M
             self.taken = self.taken.delete(self.queue_head)
             self.queue_head += 1
-        s = GlobalState.__new__(GlobalState)
-        s.statics = self.src.statics
-        s.config = self.src.config
-        s.tasks = self.tasks
-        s.jobs = self.jobs
-        s.nodes = tuple(self.nodes)
-        s.queue_head = self.queue_head
-        s.taken = self.taken
-        s.extra = self.extra
-        s.extra_taken = self.extra_taken
-        s.clock = self.clock
-        s.counters = self.counters
-        s.namenode_on = self.namenode_on
-        s.jobtracker_on = self.jobtracker_on
-        s.running = self.running
-        s.sched_pending = self.sched_pending
-        s._th_sym = self.th_sym
-        s._th_plain = self.th_plain
-        s._jh = self.jh
-        s._qh = self.qh
-        return _apply_deadlock_flags(s)
+        state = self._build()
+        to_flag = _deadlock_flags(state)
+        if not to_flag:
+            return state
+        for tid in to_flag:
+            self.set_task(tid, state.task(tid)._replace(dl=1))
+        self.bump(n_deadlock=len(to_flag))
+        # flags never free slots, so no second detection pass
+        return self._build()
+
+    def _build(self) -> GlobalState:
+        # positional: passing these by keyword doubles the cost of a state
+        return GlobalState(
+            self.src.statics, self.src.config, tuple(self.nodes), self.tasks,
+            self.jobs, self.queue_head, self.taken, self.extra,
+            self.extra_taken, self.clock, self.counters, self.namenode_on,
+            self.jobtracker_on, self.running, self.sched_pending,
+            self.th_sym, self.th_plain, self.jh, self.qh)
 
 
 def build_cluster(config: ClusterConfig, workload: WorkloadTrace) -> GlobalState:
     """Initial state: everything off, full queue in submit order, clock 0."""
     if workload is None or len(workload) == 0:
         raise EmptyWorkload("cannot build a cluster model over an empty workload")
-    statics = Statics(config, workload)
-    s = GlobalState.__new__(GlobalState)
-    s.statics = statics
-    s.config = config
-    s.tasks = EMPTY_SMAP
-    s.jobs = EMPTY_SMAP
-    s.nodes = tuple(NodeRT(False, (None,) * config.slots_per_node)
-                    for _ in range(config.node_count))
-    s.queue_head = 0
-    s.taken = EMPTY_SMAP
-    s.extra = ()
-    s.extra_taken = frozenset()
-    s.clock = 0
-    s.counters = Counters()
-    s.namenode_on = False
-    s.jobtracker_on = False
-    s.running = ()
-    s.sched_pending = ()
-    s._th_sym = 0
-    s._th_plain = 0
-    s._jh = 0
-    s._qh = 0
-    return s
+    nodes = tuple(NodeRT(False, (None,) * config.slots_per_node)
+                  for _ in range(config.node_count))
+    return GlobalState(Statics(config, workload), config, nodes)
 
 
 # --------------------------------------------------------------------------
@@ -479,11 +483,10 @@ def scheduler_step(state: GlobalState):
     """One transition per free-slot node assigning the policy-chosen entry."""
     if not state.jobtracker_on or state.counters.free_slots == 0:
         return
-    decision = policies.select(state.config.scheduler,
-                               state.eligible_entries(), state)
-    if decision is None:
+    qpos = policies.select(state.config.scheduler,
+                           state.eligible_entries(), state)
+    if qpos is None:
         return
-    qpos = decision.queue_index
     base = state.statics.queue
     if qpos < len(base):
         code, jid, tid = base[qpos]
@@ -683,11 +686,6 @@ def iter_transitions(state: GlobalState):
     yield from complete_or_fail_step(state)
 
 
-def successors(state: GlobalState) -> set:
-    """Public set-valued view of the transition relation."""
-    return {(t.event, t.state) for t in iter_transitions(state)}
-
-
 # --------------------------------------------------------------------------
 # Resources-deadlock detection
 
@@ -736,45 +734,16 @@ def wait_for_graph(state: GlobalState):
     return edges, blocked
 
 
-def _apply_deadlock_flags(state: GlobalState) -> GlobalState:
-    """Set sticky deadlock flags when a genuine circular slot-wait exists:
-    the wait-for graph over jobs has a cycle (self-loops count). Flags go
-    to the blocked queued tasks of the jobs on cycles."""
+def _deadlock_flags(state: GlobalState) -> list:
+    """Tasks whose sticky deadlock flag must be set when a genuine circular
+    slot-wait exists: the wait-for graph over jobs has a cycle (self-loops
+    count). Flags go to the blocked queued tasks of the jobs on cycles."""
     edges, blocked = wait_for_graph(state)
     if edges is None:
-        return state
+        return []
     cyclic = _jobs_on_cycles(edges)
-    to_flag = [tid for jid in cyclic for tid in blocked.get(jid, ())
-               if not state.task(tid).dl]
-    if not to_flag:
-        return state
-    b = _Builder(state)
-    for tid in to_flag:
-        rt = state.task(tid)
-        b.set_task(tid, rt._replace(dl=1))
-    b.bump(n_deadlock=len(to_flag))
-    # build inline: flags never free slots, so no second detection pass
-    s = GlobalState.__new__(GlobalState)
-    s.statics = b.src.statics
-    s.config = b.src.config
-    s.tasks = b.tasks
-    s.jobs = b.jobs
-    s.nodes = tuple(b.nodes)
-    s.queue_head = b.queue_head
-    s.taken = b.taken
-    s.extra = b.extra
-    s.extra_taken = b.extra_taken
-    s.clock = b.clock
-    s.counters = b.counters
-    s.namenode_on = b.namenode_on
-    s.jobtracker_on = b.jobtracker_on
-    s.running = b.running
-    s.sched_pending = b.sched_pending
-    s._th_sym = b.th_sym
-    s._th_plain = b.th_plain
-    s._jh = b.jh
-    s._qh = b.qh
-    return s
+    return [tid for jid in cyclic for tid in blocked.get(jid, ())
+            if not state.task(tid).dl]
 
 
 def _jobs_on_cycles(edges: dict) -> set:
@@ -909,30 +878,3 @@ def replay(initial: GlobalState, steps) -> GlobalState:
             raise ValueError(f"event {rec.event} not enabled during replay")
     return state
 
-
-# --------------------------------------------------------------------------
-# Process-algebra rendering of the activation phase
-
-def activation_kernel_state(config: ClusterConfig) -> KernelState:
-    """The activation fragment of the cluster as process terms, runnable by
-    the kernel interpreter; used to cross-check activate_steps."""
-    n = config.node_count
-    defs = {
-        "NameNodeActivate": ((), Prefix("activate_nn", SKIP, (("NameNode", Const(1)),))),
-        "JobTrackerActivate": ((), Prefix("activate_jt", SKIP, (("JobTracker", Const(1)),))),
-        "TaskTrackerActivate": (("i",), Guard(
-            Bin("&&",
-                Bin("==", Idx("TaskTracker", Var("i")), Const(0)),
-                Bin("==", Var("JobTracker"), Const(1))),
-            Prefix("activate_tt", SKIP, (
-                (("TaskTracker", Var("i")), Const(1)),
-                ("trackercount", Bin("+", Var("trackercount"), Const(1))))))),
-        "Cluster": ((), Seq(
-            Prefix("initialize", SKIP),
-            Par(Call("NameNodeActivate"),
-                Par(Call("JobTrackerActivate"),
-                    IndexedPar("i", 0, n - 1, Call("TaskTrackerActivate", (Var("i"),))))))),
-    }
-    store = {"NameNode": 0, "JobTracker": 0, "trackercount": 0,
-             "TaskTracker": tuple([0] * n)}
-    return KernelState.make([Call("Cluster")], store, defs)

@@ -12,11 +12,6 @@ from typing import NamedTuple
 from zlib import crc32
 
 
-class PolicyDecision(NamedTuple):
-    queue_index: int     # global queue position ("location")
-    tie_broken: bool
-
-
 def job_number(job_id: str) -> int:
     digits = "".join(ch for ch in str(job_id) if ch.isdigit())
     if digits:
@@ -62,14 +57,15 @@ def capacity_states(state) -> dict:
             for q, (_, frac) in enumerate(cfg.capacity_queues)}
 
 
-def select(policy: str, eligible, state) -> PolicyDecision | None:
+def select(policy: str, eligible, state) -> int | None:
     """Pick one entry from `eligible`, an iterable of
     (queue_index, code, job_id, task_id) already filtered for eligibility
-    and capped at the max_queue scan window. Returns None when empty.
+    and capped at the max_queue scan window. Returns the chosen entry's
+    queue index (its global queue position), or None when empty.
     """
     if policy == "fifo":
         first = next(iter(eligible), None)
-        return None if first is None else PolicyDecision(first[0], False)
+        return None if first is None else first[0]
 
     eligible = list(eligible)
     if not eligible:
@@ -80,16 +76,14 @@ def select(policy: str, eligible, state) -> PolicyDecision | None:
         n = state.config.fair_pools
         best = None
         best_deficit = None
-        tie = False
         for qpos, _code, jid, _tid in eligible:
             pool = job_number(jid) % n
             ps = pools[pool]
             deficit = ps.entitled_slots - ps.running_slots
+            # strictly greater: a tie keeps the earlier entry (queue order)
             if best_deficit is None or deficit > best_deficit:
-                best, best_deficit, tie = qpos, deficit, False
-            elif deficit == best_deficit:
-                tie = True  # kept earlier entry: queue-order tiebreak
-        return PolicyDecision(best, tie)
+                best, best_deficit = qpos, deficit
+        return best
 
     if policy == "capacity":
         caps = capacity_states(state)
@@ -100,7 +94,7 @@ def select(policy: str, eligible, state) -> PolicyDecision | None:
             by_queue.setdefault(q, entry[0])
         for q in range(nq):  # listed order is priority order
             if q in by_queue and caps[q].running_slots < caps[q].entitled_slots:
-                return PolicyDecision(by_queue[q], False)
-        return PolicyDecision(eligible[0][0], True)  # all at capacity
+                return by_queue[q]
+        return eligible[0][0]  # all at capacity
 
     raise ValueError(f"unknown policy {policy!r}")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,10 @@ from fixtures import FIXTURES
 
 from schedcheck import trace as trace_mod
 from schedcheck.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_DATA = ROOT / "demos" / "data"
+GOLDEN = Path(__file__).resolve().parent / "data"
 
 GOAL0_PROPS = ("#define goal0 completedscheduled == workload && workload > 0;\n"
                "#assert cluster reaches goal0;\n")
@@ -186,6 +191,31 @@ class TestGen:
         spec.write_text("n_tasks = -1\n")
         assert main(["gen", "--spec", str(spec),
                      "--out", str(tmp_path / "x.csv")]) == 3
+
+
+def without_times(report):
+    """The report with every `time_s` removed: the only field that differs
+    between two runs on the same inputs."""
+    if isinstance(report, dict):
+        return {k: without_times(v) for k, v in report.items() if k != "time_s"}
+    if isinstance(report, list):
+        return [without_times(v) for v in report]
+    return report
+
+
+class TestGoldenReports:
+    def test_demo_reports_unchanged(self, tmp_path):
+        """Every verdict, witness step and report field of `verify` and
+        `analyze` on the demo inputs matches the committed report."""
+        for command in ("verify", "analyze"):
+            out = tmp_path / f"{command}.json"
+            main([command, "--config", str(DEMO_DATA / "cluster.conf"),
+                  "--trace", str(DEMO_DATA / "wordcount.csv"),
+                  "--properties", str(DEMO_DATA / "goals.props"),
+                  "--out", str(out)])
+            golden = json.loads(
+                (GOLDEN / f"demo_{command}_report.json").read_text())
+            assert without_times(json.loads(out.read_text())) == golden, command
 
 
 class TestUsage:

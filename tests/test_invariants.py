@@ -12,7 +12,7 @@ from fixtures import FIXTURES, random_workload
 from invariants import check_state, check_workload, run_suite
 
 from schedcheck.checker import GoalExpr, parse_properties, verify
-from schedcheck.model import build_cluster, successors
+from schedcheck.model import build_cluster, iter_transitions
 
 
 class TestRandomizedWorkloads:
@@ -43,11 +43,11 @@ class TestExhaustiveOnFixtures:
         while stack:
             state = stack.pop()
             check_state(state)
-            for _, nxt in successors(state):
-                fp = nxt.fingerprint(sym=False)
+            for t in iter_transitions(state):
+                fp = t.state.fingerprint(sym=False)
                 if fp not in seen:
                     seen.add(fp)
-                    stack.append(nxt)
+                    stack.append(t.state)
 
     def test_checker_witnesses_replay_on_random_workloads(self):
         rng = random.Random(99)

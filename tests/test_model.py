@@ -1,18 +1,18 @@
+import itertools
+
 import pytest
 
 from fixtures import FIXTURES, mk_trace, rec
 
 from schedcheck.config import ClusterConfig
 from schedcheck.errors import EmptyWorkload
-from schedcheck.kernel import successors as kernel_successors
 from schedcheck.model import (CAUSE_CASCADE, CAUSE_NAMES, CAUSE_QUEUEWAIT,
                               CAUSE_SPECULATIVE, CAUSE_TIMEOUT, FAILED,
                               FINISHED_AFTER_DEADLINE,
                               FINISHED_WITHIN_DEADLINE, PROCESSED, SCHEDULED,
-                              SUBMITTED, WAITING_RESOURCES,
-                              activation_kernel_state, build_cluster,
+                              SUBMITTED, WAITING_RESOURCES, build_cluster,
                               canonical_key, iter_transitions, replay,
-                              successors, terminal_summary, wait_for_graph)
+                              terminal_summary, wait_for_graph)
 
 
 def first_run(state, limit=100_000):
@@ -76,29 +76,35 @@ class TestActivation:
         assert state.counters.trackercount == 2
 
     def test_matches_process_algebra_rendering(self):
-        """The activation fragment rendered as process terms must allow the
-        same activation event multiset as the structured transitions."""
+        """Following only activation transitions, the maximal paths are
+        exactly the traces of the process term
+        ``activate_nn ||| (activate_jt -> (||| i @ activate_tt.i))``, and
+        each ends with the NameNode, the JobTracker and every TaskTracker on
+        and every slot free."""
         cfg = FIXTURES["map_reduce_gate"].config
-        ks = activation_kernel_state(cfg)
-        # drive the kernel through every path; collect final stores
-        stack, finals = [ks], []
-        seen = set()
+        stack, traces = [(build("map_reduce_gate"), ())], set()
         while stack:
-            st = stack.pop()
-            succ = kernel_successors(st)
-            if not succ:
-                finals.append(st.store)
+            state, trace = stack.pop()
+            nxt = [(t.state, trace + (t.event.name,))
+                   for t in iter_transitions(state)
+                   if t.event.name.startswith("activate_")]
+            if nxt:
+                stack.extend(nxt)
                 continue
-            for _, nxt in succ:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        assert finals, "kernel run never terminated"
-        for store in finals:
-            assert store["NameNode"] == 1
-            assert store["JobTracker"] == 1
-            assert store["trackercount"] == cfg.node_count
-            assert store["TaskTracker"] == (1,) * cfg.node_count
+            traces.add(trace)
+            assert state.namenode_on and state.jobtracker_on
+            assert all(node.on for node in state.nodes)
+            assert state.counters.trackercount == cfg.node_count
+            assert state.counters.free_slots == \
+                cfg.node_count * cfg.slots_per_node
+        events = ["activate_nn", "activate_jt"] + [
+            f"activate_tt.{i}" for i in range(cfg.node_count)]
+        term = {p for p in itertools.permutations(events)
+                if all(p.index("activate_jt") < p.index(e)
+                       for e in events[2:])}
+        assert traces == term
+        # two TaskTrackers: 4! / 3 orders
+        assert len(traces) == 8
 
 
 class TestExecutionSemantics:
@@ -112,11 +118,11 @@ class TestExecutionSemantics:
             if rt.phase in (PROCESSED, FINISHED_WITHIN_DEADLINE):
                 j = state.job("j1")
                 assert j.fin_maps == 2
-            for _, nxt in successors(state):
-                key = canonical_key(nxt, sym=False)
+            for t in iter_transitions(state):
+                key = canonical_key(t.state, sym=False)
                 if key not in seen:
                     seen.add(key)
-                    stack.append(nxt)
+                    stack.append(t.state)
 
     def test_clock_advances_only_at_completions(self):
         state = build("map_reduce_gate")
@@ -156,11 +162,11 @@ class TestExecutionSemantics:
                            if s is not None)
             on_slots = sum(len(n.slots) for n in state.nodes if n.on)
             assert occupied + state.counters.free_slots == on_slots
-            for _, nxt in successors(state):
-                key = canonical_key(nxt, sym=False)
+            for t in iter_transitions(state):
+                key = canonical_key(t.state, sym=False)
                 if key not in seen:
                     seen.add(key)
-                    stack.append(nxt)
+                    stack.append(t.state)
 
 
 class TestOutcomes:
@@ -204,11 +210,11 @@ class TestOutcomes:
                 occupied = [s for n in state.nodes for s in n.slots
                             if isinstance(s, tuple)]
                 assert occupied == []
-            for _, nxt in successors(state):
-                key = canonical_key(nxt, sym=False)
+            for t in iter_transitions(state):
+                key = canonical_key(t.state, sym=False)
                 if key not in seen:
                     seen.add(key)
-                    stack.append(nxt)
+                    stack.append(t.state)
         assert saw_copy
 
     def test_speculative_limit_cause(self):
@@ -221,11 +227,11 @@ class TestOutcomes:
             rt = state.task("slow")
             if rt.phase == FAILED:
                 causes.add(rt.cause)
-            for _, nxt in successors(state):
-                key = canonical_key(nxt, sym=False)
+            for t in iter_transitions(state):
+                key = canonical_key(t.state, sym=False)
                 if key not in seen:
                     seen.add(key)
-                    stack.append(nxt)
+                    stack.append(t.state)
         # both outcomes exist in the space: failed un-speculated (Timeout)
         # and failed after a copy was granted (SpeculativeLimit)
         assert CAUSE_SPECULATIVE in causes
@@ -241,11 +247,11 @@ class TestDeadlock:
             state = stack.pop()
             if state.counters.n_deadlock:
                 deadlocked.append(state)
-            for _, nxt in successors(state):
-                key = canonical_key(nxt, sym=False)
+            for t in iter_transitions(state):
+                key = canonical_key(t.state, sym=False)
                 if key not in seen:
                     seen.add(key)
-                    stack.append(nxt)
+                    stack.append(t.state)
         assert deadlocked
         # with both trackers up, the two stuck reduces form a j1<->j2 cycle
         # and both queued maps get flagged
@@ -259,7 +265,7 @@ class TestDeadlock:
         edges, blocked = wait_for_graph(state)
         assert edges == {"j1": {"j1", "j2"}, "j2": {"j1", "j2"}}
         # the deadlocked state is a dead end
-        assert not successors(state)
+        assert state.is_terminal()
 
     def test_no_deadlock_with_strict_slowstart(self):
         fx = FIXTURES["deadlock_cycle"]
@@ -269,11 +275,11 @@ class TestDeadlock:
         while stack:
             state = stack.pop()
             assert state.counters.n_deadlock == 0
-            for _, nxt in successors(state):
-                key = canonical_key(nxt, sym=False)
+            for t in iter_transitions(state):
+                key = canonical_key(t.state, sym=False)
                 if key not in seen:
                     seen.add(key)
-                    stack.append(nxt)
+                    stack.append(t.state)
 
 
 class TestPhasesAndSymmetry:
@@ -326,8 +332,8 @@ class TestPhasesAndSymmetry:
                 assert seen_keys[key] == fp
                 continue
             seen_keys[key] = fp
-            for _, nxt in successors(state):
-                stack.append(nxt)
+            for t in iter_transitions(state):
+                stack.append(t.state)
         fps = list(seen_keys.values())
         assert len(set(fps)) == len(fps)  # no collisions on this space
 

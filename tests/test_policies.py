@@ -1,8 +1,8 @@
 from fixtures import FIXTURES
 
 from schedcheck.model import build_cluster, iter_transitions
-from schedcheck.policies import (PolicyDecision, capacity_states, job_number,
-                                 pool_states, select)
+from schedcheck.policies import (capacity_states, job_number, pool_states,
+                                 select)
 
 
 def activated(fixture):
@@ -32,8 +32,7 @@ class TestFifo:
     def test_picks_first_eligible(self):
         state = activated(FIXTURES["two_jobs_fifo"])
         eligible = list(state.eligible_entries())
-        decision = select("fifo", eligible, state)
-        assert decision == PolicyDecision(eligible[0][0], False)
+        assert select("fifo", eligible, state) == eligible[0][0]
 
     def test_empty_eligible(self):
         state = activated(FIXTURES["two_jobs_fifo"])
@@ -51,8 +50,7 @@ class TestFair:
         state = t.state
         pools = pool_states(state)
         assert sum(p.running_slots for p in pools.values()) == 1
-        decision = select("fair", list(state.eligible_entries()), state)
-        qpos = decision.queue_index
+        qpos = select("fair", list(state.eligible_entries()), state)
         _, jid, _ = state.statics.queue[qpos][0], \
             state.statics.queue[qpos][1], state.statics.queue[qpos][2]
         occupied_pool = job_number("j1") % fx.config.fair_pools
@@ -60,8 +58,12 @@ class TestFair:
 
     def test_tie_flag_on_equal_deficits(self):
         state = activated(FIXTURES["fair_two_pools"])
-        decision = select("fair", list(state.eligible_entries()), state)
-        assert decision.tie_broken  # both pools start at equal deficit
+        eligible = list(state.eligible_entries())
+        pools = pool_states(state)
+        # both pools start at equal deficit: the earliest entry wins
+        assert len({p.entitled_slots - p.running_slots
+                    for p in pools.values()}) == 1
+        assert select("fair", eligible, state) == eligible[0][0]
 
 
 class TestCapacity:
@@ -75,12 +77,11 @@ class TestCapacity:
     def test_first_under_capacity_queue_wins(self):
         fx = FIXTURES["capacity_two_queues"]
         state = activated(fx)
-        decision = select("capacity", list(state.eligible_entries()), state)
+        qpos = select("capacity", list(state.eligible_entries()), state)
         # nothing is running: the first listed queue is under capacity
         nq = len(fx.config.capacity_queues)
-        jid = state.statics.queue[decision.queue_index][1]
+        jid = state.statics.queue[qpos][1]
         assert job_number(jid) % nq == 0
-        assert not decision.tie_broken
 
     def test_fallback_when_all_at_capacity(self):
         fx = FIXTURES["capacity_two_queues"]
@@ -94,6 +95,6 @@ class TestCapacity:
         assert eligible  # two tasks still queued
         # no free slot means the scheduler won't ask, but the policy itself
         # must still answer deterministically
-        decision = select("capacity", eligible, state)
-        assert decision.queue_index == eligible[0][0]
-        assert decision.tie_broken
+        assert all(c.running_slots >= c.entitled_slots
+                   for c in capacity_states(state).values())
+        assert select("capacity", eligible, state) == eligible[0][0]

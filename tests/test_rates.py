@@ -8,7 +8,7 @@ from fixtures import FIXTURES
 from oracle import recount_metrics
 
 from schedcheck.model import (build_cluster, canonical_key, iter_transitions,
-                              successors, wait_for_graph)
+                              wait_for_graph)
 from schedcheck.model import _jobs_on_cycles
 from schedcheck.rates import compute_rates
 
@@ -28,11 +28,11 @@ class TestCountersMatchRecounts:
             fast = compute_rates(state).as_dict()
             slow = recount_metrics(state)
             assert fast == pytest.approx(slow), f"divergence in {name}"
-            for _, nxt in successors(state):
-                key = canonical_key(nxt, sym=True)
+            for t in iter_transitions(state):
+                key = canonical_key(t.state, sym=True)
                 if key not in seen:
                     seen.add(key)
-                    stack.append(nxt)
+                    stack.append(t.state)
 
     def test_rates_bounded(self):
         for name, fx in FIXTURES.items():
