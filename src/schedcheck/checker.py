@@ -22,9 +22,11 @@ integer metrics stays exact.
 
 from __future__ import annotations
 
+import operator
 import re
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import PropertySyntaxError, UnknownTask
@@ -39,7 +41,10 @@ _RATE_METRICS = frozenset({"schedulabilityrate", "fairnessrate",
                            "resourcedeadlockrate", "localityrate",
                            "failurerate"})
 _METRICS = _INT_METRICS | _RATE_METRICS
-_OPS = ("==", "!=", "<=", ">=", "<", ">")
+# in parse order: "<=" must be tried before "<"
+_CMP = {"==": operator.eq, "!=": operator.ne, "<=": operator.le,
+        ">=": operator.ge, "<": operator.lt, ">": operator.gt}
+_OPS = tuple(_CMP)
 
 
 class Atom(NamedTuple):
@@ -55,14 +60,13 @@ class GoalExpr:
     atoms: tuple
 
     def holds(self, state: GlobalState) -> bool:
-        metrics = compute_rates(state).as_dict()
+        rates = compute_rates(state)
         for metric, op, rhs in self.atoms:
-            lhs = metrics[metric]
-            r = metrics[rhs] if isinstance(rhs, str) else rhs
-            if op == "==" and metric in _RATE_METRICS and \
-                    not isinstance(rhs, str):
+            if isinstance(rhs, str):
+                rhs = getattr(rates, rhs)
+            elif op == "==" and metric in _RATE_METRICS:
                 op = ">="
-            if not _cmp(lhs, op, r):
+            if not _CMP[op](getattr(rates, metric), rhs):
                 return False
         return True
 
@@ -71,20 +75,6 @@ class TaskAssertion(NamedTuple):
     task_id: str
     mode: str    # "eventually" | "never"
     phase: int
-
-
-def _cmp(a, op, b) -> bool:
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    return a >= b
 
 
 # --------------------------------------------------------------------------
@@ -176,12 +166,11 @@ class VerificationResult:
 
 
 def _explore(initial: GlobalState, strategy: str, state_budget: int,
-             time_budget_s: float, found, want_terminal: bool = False):
+             time_budget_s: float, found, verdicts: tuple) -> VerificationResult:
     """First-witness DFS. `found(state, is_terminal)` returns truthy when the
-    target is hit; with want_terminal the callback also sees dead ends.
-
-    Returns (hit_state_or_None, path, states, transitions, exhausted_reason).
-    """
+    target is hit. `verdicts` names the outcome as (hit, no hit): the first
+    hit gives verdicts[0] and its witness, a search that runs to the end
+    verdicts[1], and a spent budget "unknown"."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
     sym = strategy == "dfs-sym"
@@ -190,15 +179,20 @@ def _explore(initial: GlobalState, strategy: str, state_budget: int,
     visited = {initial.fingerprint(sym)}
     n_trans = 0
 
-    if found(initial, initial.is_terminal()):
-        return initial, [], 1, 0, ""
+    def result(verdict, hit=None, path=(), reason=""):
+        elapsed = time.monotonic() - t0
+        witness = make_witness(path, hit) if hit is not None else None
+        return VerificationResult(verdict, len(visited), n_trans, elapsed,
+                                  strategy, witness, reason)
 
-    stack = [(initial, iter_transitions(initial), None)]
+    if found(initial, initial.is_terminal()):
+        return result(verdicts[0], initial)
+
+    stack = [iter_transitions(initial)]  # untried successors along the path
     path: list = []
     check_every = 2048
     while stack:
-        state, it, _rec = stack[-1]
-        t = next(it, None)
+        t = next(stack[-1], None)
         if t is None:
             stack.pop()
             if path:
@@ -211,45 +205,31 @@ def _explore(initial: GlobalState, strategy: str, state_budget: int,
             continue
         visited.add(fp)
         if len(visited) > state_budget:
-            return None, [], len(visited), n_trans, "state budget exhausted"
+            return result("unknown", reason="state budget exhausted")
         if deadline is not None and n_trans % check_every == 0 and \
                 time.monotonic() > deadline:
-            return None, [], len(visited), n_trans, "time budget exhausted"
-        rec = StepRecord(t.event.name, t.event.payload, t.changed, succ.clock)
+            return result("unknown", reason="time budget exhausted")
         succ_it = iter_transitions(succ)
         first = next(succ_it, None)
         terminal = first is None
-        path.append(rec)
+        path.append(StepRecord(t.event.name, t.event.payload, t.changed,
+                               succ.clock))
         if found(succ, terminal):
-            return succ, list(path), len(visited), n_trans, ""
+            return result(verdicts[0], succ, path)
         if terminal:
             path.pop()
             continue
-
-        def chain(first_t, rest):
-            yield first_t
-            yield from rest
-
-        stack.append((succ, chain(first, succ_it), rec))
-    return None, [], len(visited), n_trans, ""
+        stack.append(chain((first,), succ_it))
+    return result(verdicts[1])
 
 
 def verify(initial: GlobalState, goal: GoalExpr, strategy: str = "dfs-sym",
            state_budget: int = 5_000_000,
            time_budget_s: float = 0.0) -> VerificationResult:
     """Is some state satisfying `goal` reachable? First hit yields a witness."""
-    t0 = time.monotonic()
-    hit, path, states, trans, why = _explore(
-        initial, strategy, state_budget, time_budget_s,
-        lambda s, _term: goal.holds(s))
-    elapsed = time.monotonic() - t0
-    if hit is not None:
-        return VerificationResult("reachable", states, trans, elapsed,
-                                  strategy, make_witness(path, hit))
-    if why:
-        return VerificationResult("unknown", states, trans, elapsed,
-                                  strategy, None, why)
-    return VerificationResult("unreachable", states, trans, elapsed, strategy)
+    return _explore(initial, strategy, state_budget, time_budget_s,
+                    lambda s, _term: goal.holds(s),
+                    ("reachable", "unreachable"))
 
 
 def verify_assertion(initial: GlobalState, assertion: TaskAssertion,
@@ -275,14 +255,5 @@ def verify_assertion(initial: GlobalState, assertion: TaskAssertion,
         def bad(s, term):
             return term and not s.task_ever_reached(tid, phase)
 
-    t0 = time.monotonic()
-    hit, path, states, trans, why = _explore(
-        initial, strategy, state_budget, time_budget_s, bad)
-    elapsed = time.monotonic() - t0
-    if hit is not None:
-        return VerificationResult("violated", states, trans, elapsed,
-                                  strategy, make_witness(path, hit))
-    if why:
-        return VerificationResult("unknown", states, trans, elapsed,
-                                  strategy, None, why)
-    return VerificationResult("holds", states, trans, elapsed, strategy)
+    return _explore(initial, strategy, state_budget, time_budget_s, bad,
+                    ("violated", "holds"))

@@ -16,8 +16,8 @@ import sys
 
 from . import analysis, checker, trace as trace_mod, whatif
 from .config import ClusterConfig, load_config
-from .errors import SchedCheckError
-from .model import build_cluster, replay
+from .errors import SchedCheckError, UnknownTask
+from .model import PHASE_NAMES, build_cluster, replay
 from .rates import compute_rates
 
 VERSION = "0.1.0"
@@ -77,28 +77,43 @@ def _config_echo(config) -> dict:
     return d
 
 
-def _verify_properties(args, config, workload):
-    initial = build_cluster(config, workload)
+def _obligations(args, workload) -> list:
+    """The property file's assertions in file order; every task assertion
+    must name a task of the trace."""
     with open(args.properties, encoding="utf-8") as fh:
         _defs, obligations = checker.parse_properties(fh.read())
     if not obligations:
         raise SchedCheckError("property file contains no assertions")
+    known = {r.task_id for r in workload.records}
+    for prop in obligations:
+        if isinstance(prop, checker.TaskAssertion) and \
+                prop.task_id not in known:
+            raise UnknownTask(prop.task_id)
+    return obligations
+
+
+def _first_goal(args, workload, command: str) -> checker.GoalExpr:
+    """The first 'cluster reaches' goal: the one property analyze and
+    whatif report, and so the only one they verify."""
+    for prop in _obligations(args, workload):
+        if isinstance(prop, checker.GoalExpr):
+            return prop
+    raise SchedCheckError(f"{command} needs a 'cluster reaches' assertion")
+
+
+def _verify_properties(args, initial, obligations) -> list:
     rows = []
     for prop in obligations:
         if isinstance(prop, checker.GoalExpr):
             label = f"cluster reaches {prop.name}"
-            result = checker.verify(initial, prop, strategy=args.strategy,
-                                    state_budget=args.state_budget,
-                                    time_budget_s=args.time_budget)
+            check = checker.verify
         else:
-            from .model import PHASE_NAMES
             label = f"task {prop.task_id} {prop.mode} {PHASE_NAMES[prop.phase]}"
-            result = checker.verify_assertion(
-                initial, prop, strategy=args.strategy,
-                state_budget=args.state_budget,
-                time_budget_s=args.time_budget)
-        rows.append((label, result))
-    return initial, rows
+            check = checker.verify_assertion
+        rows.append((label, check(initial, prop, strategy=args.strategy,
+                                  state_budget=args.state_budget,
+                                  time_budget_s=args.time_budget)))
+    return rows
 
 
 def _print_table(rows):
@@ -112,7 +127,8 @@ def _print_table(rows):
 
 def cmd_verify(args) -> int:
     config, workload = _load_inputs(args)
-    initial, rows = _verify_properties(args, config, workload)
+    initial = build_cluster(config, workload)
+    rows = _verify_properties(args, initial, _obligations(args, workload))
     report = {
         "version": VERSION,
         "command": "verify",
@@ -127,12 +143,9 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     config, workload = _load_inputs(args)
-    initial, rows = _verify_properties(args, config, workload)
-    goal_rows = [(label, r) for label, r in rows
-                 if not label.startswith("task ")]
-    if not goal_rows:
-        raise SchedCheckError("analysis needs a 'cluster reaches' assertion")
-    label, result = goal_rows[0]
+    initial = build_cluster(config, workload)
+    goal = _first_goal(args, workload, "analysis")
+    ((label, result),) = _verify_properties(args, initial, [goal])
     report = {
         "version": VERSION,
         "command": "analyze",
@@ -192,12 +205,7 @@ def _parse_scenario_file(path, base: ClusterConfig) -> whatif.Scenario:
 
 def cmd_whatif(args) -> int:
     config, workload = _load_inputs(args)
-    with open(args.properties, encoding="utf-8") as fh:
-        _defs, obligations = checker.parse_properties(fh.read())
-    goals = [p for p in obligations if isinstance(p, checker.GoalExpr)]
-    if not goals:
-        raise SchedCheckError("what-if needs a 'cluster reaches' assertion")
-    goal = goals[0]
+    goal = _first_goal(args, workload, "what-if")
     reports = []
     if args.sweep:
         values = [v.strip() for v in args.values.split(",") if v.strip()]

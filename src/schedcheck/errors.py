@@ -36,14 +36,6 @@ class SpecInvalid(SchedCheckError):
     """Synthetic workload generator parameters are inconsistent."""
 
 
-class StateBudgetExceeded(SchedCheckError):
-    """Exploration hit the state cap before reaching a verdict."""
-
-
-class TimeBudgetExceeded(SchedCheckError):
-    """Exploration hit the wall-clock cap before reaching a verdict."""
-
-
 class UnknownTask(SchedCheckError):
     """An assertion selector names a task absent from the workload."""
 

@@ -111,7 +111,7 @@ class Statics:
     """Immutable per-run data shared by every state of one exploration."""
     __slots__ = ("tids", "idx_of", "kind", "submit", "duration", "deadline",
                  "preferred", "job_of", "job_tasks", "total_maps",
-                 "queue", "qidx_of", "workload", "named_nodes", "job_ids")
+                 "queue", "workload", "named_nodes", "job_ids")
 
     def __init__(self, config: ClusterConfig, trace: WorkloadTrace):
         recs = trace.records
@@ -137,7 +137,6 @@ class Statics:
             for j, ts in self.job_tasks.items()}
         self.queue = tuple(
             (self.kind[r.task_id], r.job_id, r.task_id) for r in recs)
-        self.qidx_of = {e[2]: i for i, e in enumerate(self.queue)}
         self.workload = len(recs)
         self.named_nodes = frozenset(
             p for p in self.preferred.values()
@@ -157,16 +156,15 @@ class Transition(NamedTuple):
 
 class GlobalState:
     __slots__ = ("statics", "config", "tasks", "jobs", "nodes", "queue_head",
-                 "taken", "extra", "extra_taken", "clock", "counters",
-                 "namenode_on", "jobtracker_on", "running", "sched_pending",
-                 "_th_sym", "_th_plain", "_jh", "_qh")
+                 "extra", "extra_taken", "clock", "counters", "namenode_on",
+                 "jobtracker_on", "running", "sched_pending", "_th_sym",
+                 "_th_plain", "_jh")
 
     def __init__(self, statics: Statics, config: ClusterConfig, nodes: tuple,
-                 tasks=EMPTY_SMAP, jobs=EMPTY_SMAP, queue_head=0,
-                 taken=EMPTY_SMAP, extra=(), extra_taken=frozenset(), clock=0,
-                 counters=Counters(), namenode_on=False, jobtracker_on=False,
-                 running=(), sched_pending=(), th_sym=0, th_plain=0, jh=0,
-                 qh=0):
+                 tasks=EMPTY_SMAP, jobs=EMPTY_SMAP, queue_head=0, extra=(),
+                 extra_taken=frozenset(), clock=0, counters=Counters(),
+                 namenode_on=False, jobtracker_on=False, running=(),
+                 sched_pending=(), th_sym=0, th_plain=0, jh=0):
         """The one constructor of a state; the defaults are the cold
         cluster that build_cluster starts from."""
         self.statics = statics
@@ -175,7 +173,6 @@ class GlobalState:
         self.jobs = jobs
         self.nodes = nodes
         self.queue_head = queue_head
-        self.taken = taken
         self.extra = extra
         self.extra_taken = extra_taken
         self.clock = clock
@@ -187,7 +184,6 @@ class GlobalState:
         self._th_sym = th_sym
         self._th_plain = th_plain
         self._jh = jh
-        self._qh = qh
 
     def task(self, tid) -> TaskRT:
         return self.tasks.get(tid, DEFAULT_RT)
@@ -231,15 +227,21 @@ class GlobalState:
 
     def iter_queue(self):
         """Pending entries in queue order, capped at the max_queue scan
-        window; yields (global_index, code, job_id, task_id)."""
+        window; yields (global_index, code, job_id, task_id).
+
+        A base entry is pending if and only if its task is still SUBMITTED:
+        assignment and cascade failure are the only ways out of SUBMITTED,
+        and both consume the entry. Speculative entries are pending until
+        named in extra_taken."""
         scanned = 0
         cap = self.config.max_queue
         base = self.statics.queue
+        tasks = self.tasks
         i = self.queue_head
         n = len(base)
         while i < n and scanned < cap:
-            if i not in self.taken:
-                code, jid, tid = base[i]
+            code, jid, tid = base[i]
+            if tasks.get(tid, DEFAULT_RT).phase == SUBMITTED:
                 yield i, code, jid, tid
                 scanned += 1
             i += 1
@@ -301,7 +303,7 @@ class GlobalState:
 
     def fingerprint(self, sym: bool) -> int:
         th = self._th_sym if sym else self._th_plain
-        return (self._scalar_hash() + th + self._jh + self._qh
+        return (self._scalar_hash() + th + self._jh
                 + self._node_hash(sym)) % _M
 
     def is_terminal(self) -> bool:
@@ -335,10 +337,9 @@ def canonical_key(state: GlobalState, sym: bool) -> tuple:
         nodes = tuple(sorted(node_parts, key=repr))
     else:
         nodes = state.nodes
-    return (state.clock, state.queue_head, tuple(sorted(state.taken.keys())),
-            state.extra, tuple(sorted(state.extra_taken)),
-            state.namenode_on, state.jobtracker_on, state.counters,
-            tuple(tasks), jobs, nodes)
+    return (state.clock, state.queue_head, state.extra,
+            tuple(sorted(state.extra_taken)), state.namenode_on,
+            state.jobtracker_on, state.counters, tuple(tasks), jobs, nodes)
 
 
 def _sym_rt(rt: TaskRT, named: frozenset) -> TaskRT:
@@ -366,7 +367,6 @@ class _Builder:
         self.jobs = state.jobs
         self.nodes = list(state.nodes)
         self.queue_head = state.queue_head
-        self.taken = state.taken
         self.extra = state.extra
         self.extra_taken = state.extra_taken
         self.clock = state.clock
@@ -378,7 +378,6 @@ class _Builder:
         self.th_sym = state._th_sym
         self.th_plain = state._th_plain
         self.jh = state._jh
-        self.qh = state._qh
         self.changed = []
 
     def set_task(self, tid, rt: TaskRT):
@@ -397,14 +396,6 @@ class _Builder:
         self.jh = (self.jh - h128("j", jid, old) + h128("j", jid, rt)) % _M
         self.jobs = self.jobs.set(jid, rt)
 
-    def take(self, qpos):
-        base_n = len(self.src.statics.queue)
-        if qpos >= base_n:
-            self.extra_taken = self.extra_taken | {qpos - base_n}
-        else:
-            self.qh = (self.qh + h128("q", qpos)) % _M
-            self.taken = self.taken.set(qpos, True)
-
     def add_extra(self, entry):
         self.extra = self.extra + (entry,)
 
@@ -421,11 +412,10 @@ class _Builder:
             **{k: getattr(self.counters, k) + v for k, v in deltas.items()})
 
     def finish(self) -> GlobalState:
-        # advance past taken entries so scans stay O(window)
-        while self.queue_head < len(self.src.statics.queue) and \
-                self.queue_head in self.taken:
-            self.qh = (self.qh - h128("q", self.queue_head)) % _M
-            self.taken = self.taken.delete(self.queue_head)
+        # advance past consumed entries so scans stay O(window)
+        base = self.src.statics.queue
+        while self.queue_head < len(base) and self.tasks.get(
+                base[self.queue_head][2], DEFAULT_RT).phase != SUBMITTED:
             self.queue_head += 1
         state = self._build()
         to_flag = _deadlock_flags(state)
@@ -441,10 +431,10 @@ class _Builder:
         # positional: passing these by keyword doubles the cost of a state
         return GlobalState(
             self.src.statics, self.src.config, tuple(self.nodes), self.tasks,
-            self.jobs, self.queue_head, self.taken, self.extra,
-            self.extra_taken, self.clock, self.counters, self.namenode_on,
-            self.jobtracker_on, self.running, self.sched_pending,
-            self.th_sym, self.th_plain, self.jh, self.qh)
+            self.jobs, self.queue_head, self.extra, self.extra_taken,
+            self.clock, self.counters, self.namenode_on, self.jobtracker_on,
+            self.running, self.sched_pending, self.th_sym, self.th_plain,
+            self.jh)
 
 
 def build_cluster(config: ClusterConfig, workload: WorkloadTrace) -> GlobalState:
@@ -500,7 +490,6 @@ def scheduler_step(state: GlobalState):
         except ValueError:
             continue
         b = _Builder(state)
-        b.take(qpos)
         if code in (CODE_MAP, CODE_REDUCE):
             rt = state.task(tid)
             b.set_task(tid, rt._replace(phase=SCHEDULED, node=i, slot=k))
@@ -513,6 +502,7 @@ def scheduler_step(state: GlobalState):
                              tuple(b.changed))
         else:
             rt = state.task(tid)
+            b.extra_taken = b.extra_taken | {qpos - len(base)}
             b.set_task(tid, rt._replace(copies=rt.copies + ((i, k, state.clock),)))
             b.set_slot(i, k, ("c", tid))
             b.bump(free_slots=-1)
@@ -570,11 +560,7 @@ def _cascade(b: _Builder, state: GlobalState, jid: str, skip_tid: str):
         if rt.phase in (FINISHED_WITHIN_DEADLINE, FINISHED_AFTER_DEADLINE, FAILED):
             continue
         freed = _free_task_slots(b, rt, state)
-        if rt.phase == SUBMITTED:
-            qidx = st.qidx_of[tid]
-            if qidx >= b.queue_head and qidx not in b.taken:
-                b.take(qidx)
-        elif rt.phase == SCHEDULED:
+        if rt.phase == SCHEDULED:
             b.sched_pending = tuple(t for t in b.sched_pending if t != tid)
         elif rt.phase == PROCESSED:
             b.running = tuple(e for e in b.running if e[1] != tid)
@@ -696,7 +682,11 @@ def wait_for_graph(state: GlobalState):
     whose stuck reduces hold the slots it needs, and blocked maps a job to
     its queued tasks waiting only on slot scarcity. Returns (None, None)
     unless the state is a candidate deadlock: zero free slots and every
-    occupied slot holding a reduce whose own maps have not all finished."""
+    occupied slot holding a reduce whose own maps have not all finished.
+
+    Any free slot would serve any blocked task, so every blocked job waits
+    on every holder job: the graph is complete from the blocked jobs to the
+    holders, and its cycles need no search (see _deadlock_flags)."""
     if state.counters.free_slots != 0:
         return None, None
     st = state.statics
@@ -736,75 +726,17 @@ def wait_for_graph(state: GlobalState):
 
 def _deadlock_flags(state: GlobalState) -> list:
     """Tasks whose sticky deadlock flag must be set when a genuine circular
-    slot-wait exists: the wait-for graph over jobs has a cycle (self-loops
-    count). Flags go to the blocked queued tasks of the jobs on cycles."""
+    slot-wait exists: the blocked queued tasks of every job on a cycle of
+    the wait-for graph (self-loops count).
+
+    A job on a cycle has an out-edge, so it is blocked, and an in-edge, so
+    it is a holder; a job that is both waits on itself. The jobs on cycles
+    are therefore exactly blocked & holders, read here as the self-loops."""
     edges, blocked = wait_for_graph(state)
     if edges is None:
         return []
-    cyclic = _jobs_on_cycles(edges)
-    return [tid for jid in cyclic for tid in blocked.get(jid, ())
-            if not state.task(tid).dl]
-
-
-def _jobs_on_cycles(edges: dict) -> set:
-    """Jobs lying on some cycle of the wait-for graph (self-loops count)."""
-    on_cycle = set()
-    for start in edges:
-        if start in edges.get(start, ()):
-            on_cycle.add(start)
-    # Tarjan SCC, iterative
-    index = {}
-    low = {}
-    stack, on_stack = [], set()
-    counter = [0]
-    result = []
-
-    def strongconnect(v0):
-        work = [(v0, iter(edges.get(v0, ())))]
-        index[v0] = low[v0] = counter[0]
-        counter[0] += 1
-        stack.append(v0)
-        on_stack.add(v0)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(edges.get(w, ()))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                result.append(comp)
-
-    nodes = set(edges)
-    for vs in edges.values():
-        nodes.update(vs)
-    for v in nodes:
-        if v not in index:
-            strongconnect(v)
-    for comp in result:
-        if len(comp) > 1:
-            on_cycle.update(comp)
-    return on_cycle
+    return [tid for jid, tids in blocked.items() if jid in edges[jid]
+            for tid in tids if not state.task(tid).dl]
 
 
 # --------------------------------------------------------------------------

@@ -6,9 +6,9 @@ which runs the same checks over a much larger draw count.
 
 from fixtures import random_workload
 
-from schedcheck.model import (CODE_REDUCE, FAILED, PROCESSED, StepRecord,
-                              build_cluster, iter_transitions, replay,
-                              terminal_summary)
+from schedcheck.model import (CODE_REDUCE, FAILED, PROCESSED, SUBMITTED,
+                              StepRecord, build_cluster, iter_transitions,
+                              replay, terminal_summary)
 from schedcheck.rates import compute_rates
 
 _PCT_RATES = ("schedulabilityrate", "fairnessrate", "resourcedeadlockrate",
@@ -30,6 +30,22 @@ def check_state(state):
             jid = st.job_of[tid]
             assert state.job(jid).fin_maps == st.total_maps[jid], \
                 f"reduce {tid} executed before all maps of {jid} finished"
+
+    # the base queue: consumed below the head, pending at it, and scanned
+    # as exactly the SUBMITTED tasks from the head on, in queue order
+    base = st.queue
+    head = state.queue_head
+    assert all(state.task(tid).phase != SUBMITTED
+               for _code, _jid, tid in base[:head]), \
+        "a SUBMITTED task sits below the queue head"
+    if head < len(base):
+        assert state.task(base[head][2]).phase == SUBMITTED, \
+            "the queue head entry is already consumed"
+    pending = [(i,) + base[i] for i in range(head, len(base))
+               if state.task(base[i][2]).phase == SUBMITTED]
+    scanned = [e for e in state.iter_queue() if e[0] < len(base)]
+    assert scanned == pending[:state.config.max_queue], \
+        "iter_queue does not yield the pending base entries"
 
     rates = compute_rates(state).as_dict()
     for name in _PCT_RATES:

@@ -7,7 +7,8 @@ import oracle
 from schedcheck.checker import (Atom, GoalExpr, TaskAssertion,
                                 parse_properties, verify, verify_assertion)
 from schedcheck.errors import PropertySyntaxError, UnknownTask
-from schedcheck.model import PHASE_BY_NAME, build_cluster, canonical_key, replay
+from schedcheck.model import (PHASE_BY_NAME, build_cluster, canonical_key,
+                              iter_transitions, replay)
 
 GOAL0 = GoalExpr("goal0", (Atom("completedscheduled", "==", "workload"),
                            Atom("workload", ">", 0.0)))
@@ -67,8 +68,7 @@ class TestParseProperties:
             "#define g schedulabilityrate == 50;\n#assert cluster reaches g;\n")
 
         class FakeRates:
-            def as_dict(self):
-                return {"schedulabilityrate": 75.0}
+            schedulabilityrate = 75.0
 
         # a state whose rate overshoots 50 must still satisfy the goal
         import schedcheck.checker as checker_mod
@@ -115,6 +115,32 @@ class TestVerify:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             verify(build("single_map"), GOAL0, strategy="bfs")
+
+    @pytest.mark.parametrize("name,plain,sym", [
+        ("map_reduce_gate", 214, 74), ("speculative_copy", 2526, 276),
+        ("deadlock_cycle", 26, 16), ("queue_wait", 18, 18),
+        ("three_anon_nodes", 6582, 418)])
+    def test_fingerprints_partition_like_canonical_keys(self, name, plain,
+                                                        sym):
+        """An exhaustive search visits exactly one state per distinct
+        structural key: the fingerprint partition is the canonical_key one,
+        with and without symmetry reduction."""
+        init = build(name)
+        reached = {canonical_key(init, sym=False): init}
+        stack = [init]
+        while stack:
+            for t in iter_transitions(stack.pop()):
+                key = canonical_key(t.state, sym=False)
+                if key not in reached:
+                    reached[key] = t.state
+                    stack.append(t.state)
+        sym_keys = {canonical_key(s, sym=True) for s in reached.values()}
+        assert (len(reached), len(sym_keys)) == (plain, sym)
+        never = GoalExpr("never", (Atom("workload", "<", 0.0),))
+        for strategy, keys in (("dfs", reached), ("dfs-sym", sym_keys)):
+            result = verify(init, never, strategy=strategy)
+            assert result.verdict == "unreachable"
+            assert result.states == len(keys), strategy
 
     def test_sym_explores_fewer_states(self):
         init = build("three_anon_two_jobs")

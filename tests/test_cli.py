@@ -132,6 +132,41 @@ class TestAnalyze:
         assert "TP" in capsys.readouterr().out
 
 
+    def test_demo_report_needs_no_task_assertion_run(self, tmp_path,
+                                                      monkeypatch):
+        """analyze reports the first goal only, so it verifies nothing else:
+        the demo report is unchanged with verify_assertion disabled."""
+        import schedcheck.checker as checker_mod
+
+        def disabled(*args, **kwargs):
+            raise AssertionError("analyze ran a task assertion")
+
+        monkeypatch.setattr(checker_mod, "verify_assertion", disabled)
+        out = tmp_path / "analyze.json"
+        main(["analyze", "--config", str(DEMO_DATA / "cluster.conf"),
+              "--trace", str(DEMO_DATA / "wordcount.csv"),
+              "--properties", str(DEMO_DATA / "goals.props"),
+              "--out", str(out)])
+        golden = json.loads((GOLDEN / "demo_analyze_report.json").read_text())
+        assert without_times(json.loads(out.read_text())) == golden
+
+
+class TestFirstGoalCommands:
+    @pytest.mark.parametrize("command", ["analyze", "whatif"])
+    def test_unknown_task_assertion_exits_three(self, tmp_path, command):
+        """analyze and whatif verify only the first goal, yet a task
+        assertion naming no task of the trace is still an input error."""
+        config, trace = write_fixture(tmp_path, "timeout_cascade")
+        args = [command, "--config", config, "--trace", trace,
+                "--properties", props(
+                    tmp_path, GOAL0_PROPS + "#assert task ghost never Failed;\n")]
+        if command == "whatif":
+            scenario = tmp_path / "scenario.conf"
+            scenario.write_text("task_timeout_ms = 4000\n")
+            args += ["--scenario", str(scenario)]
+        assert main(args) == 3
+
+
 class TestWhatif:
     def test_scenario_file(self, tmp_path, capsys):
         config, trace = write_fixture(tmp_path, "timeout_cascade")

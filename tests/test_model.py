@@ -267,6 +267,29 @@ class TestDeadlock:
         # the deadlocked state is a dead end
         assert state.is_terminal()
 
+    def test_blocked_job_holding_no_slot_is_never_flagged(self):
+        # j1 and j2 wait on each other's stuck reduce; j3's map waits on
+        # both of them but holds nothing, so j3 lies on no cycle
+        cfg = ClusterConfig(node_count=2, slots_per_node=1,
+                            reduce_slowstart=0.0)
+        trace = mk_trace([rec("ar", "j1", "reduce", 0, 100),
+                          rec("br", "j2", "reduce", 0, 100),
+                          rec("am", "j1", "map", 10, 100),
+                          rec("bm", "j2", "map", 10, 100),
+                          rec("cm", "j3", "map", 10, 100)])
+        init = build_cluster(cfg, trace)
+        reached = {canonical_key(init, sym=False): init}
+        stack = [init]
+        while stack:
+            for t in iter_transitions(stack.pop()):
+                key = canonical_key(t.state, sym=False)
+                if key not in reached:
+                    reached[key] = t.state
+                    stack.append(t.state)
+        assert all(s.task("cm").dl == 0 for s in reached.values())
+        assert any(s.task("am").dl and s.task("bm").dl
+                   for s in reached.values())
+
     def test_no_deadlock_with_strict_slowstart(self):
         fx = FIXTURES["deadlock_cycle"]
         cfg = fx.config.override(reduce_slowstart=1.0)

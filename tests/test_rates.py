@@ -1,6 +1,3 @@
-import random
-
-import networkx as nx
 import pytest
 
 from fixtures import FIXTURES
@@ -9,7 +6,6 @@ from oracle import recount_metrics
 
 from schedcheck.model import (build_cluster, canonical_key, iter_transitions,
                               wait_for_graph)
-from schedcheck.model import _jobs_on_cycles
 from schedcheck.rates import compute_rates
 
 
@@ -50,29 +46,6 @@ class TestCountersMatchRecounts:
 
 
 class TestWaitForGraphCycles:
-    def test_cycle_finder_matches_networkx(self):
-        """_jobs_on_cycles against networkx on random digraphs."""
-        rng = random.Random(99)
-        for _ in range(300):
-            n = rng.randrange(1, 8)
-            edges = {}
-            g = nx.DiGraph()
-            g.add_nodes_from(range(n))
-            for u in range(n):
-                for v in range(n):
-                    if rng.random() < 0.25:
-                        edges.setdefault(u, set()).add(v)
-                        g.add_edge(u, v)
-            expected = set()
-            for comp in nx.strongly_connected_components(g):
-                if len(comp) > 1:
-                    expected |= comp
-                else:
-                    (v,) = comp
-                    if g.has_edge(v, v):
-                        expected.add(v)
-            assert _jobs_on_cycles(edges) == expected
-
     def test_wait_for_graph_none_unless_starved(self):
         fx = FIXTURES["map_reduce_gate"]
         state = build_cluster(fx.config, fx.trace)
