@@ -230,7 +230,8 @@ def cmd_whatif(args) -> int:
         "goal": goal.name,
         "comparisons": [r.as_dict() for r in reports],
         "properties": [{"property": r.label,
-                        "verdict": "reachable" if r.conclusive else "unknown",
+                        "verdict": r.scenario.verdict if r.conclusive
+                        else "unknown",
                         "states": r.baseline.states + r.scenario.states}
                        for r in reports],
     }

@@ -19,7 +19,7 @@ from typing import NamedTuple
 from . import policies
 from .config import ClusterConfig
 from .errors import EmptyWorkload, SlotConflict
-from .smap import EMPTY_SMAP, SMap
+from .smap import EMPTY_SMAP
 from .trace import MAP, WorkloadTrace
 
 # Task lifecycle phases. WAITING_RESOURCES is a derived view of a queued
@@ -98,7 +98,6 @@ class Counters(NamedTuple):
     locality: int = 0
     nonlocality: int = 0
     n_scheduled: int = 0       # tasks that ever reached Scheduled
-    n_started: int = 0
     n_fin_within: int = 0
     n_fin_after: int = 0
     n_failed: int = 0
@@ -156,15 +155,14 @@ class Transition(NamedTuple):
 
 class GlobalState:
     __slots__ = ("statics", "config", "tasks", "jobs", "nodes", "queue_head",
-                 "extra", "extra_taken", "clock", "counters", "namenode_on",
-                 "jobtracker_on", "running", "sched_pending", "_th_sym",
-                 "_th_plain", "_jh")
+                 "extra", "clock", "counters", "namenode_on", "jobtracker_on",
+                 "running", "sched_pending", "_th_sym", "_th_plain", "_jh")
 
     def __init__(self, statics: Statics, config: ClusterConfig, nodes: tuple,
                  tasks=EMPTY_SMAP, jobs=EMPTY_SMAP, queue_head=0, extra=(),
-                 extra_taken=frozenset(), clock=0, counters=Counters(),
-                 namenode_on=False, jobtracker_on=False, running=(),
-                 sched_pending=(), th_sym=0, th_plain=0, jh=0):
+                 clock=0, counters=Counters(), namenode_on=False,
+                 jobtracker_on=False, running=(), sched_pending=(), th_sym=0,
+                 th_plain=0, jh=0):
         """The one constructor of a state; the defaults are the cold
         cluster that build_cluster starts from."""
         self.statics = statics
@@ -174,7 +172,6 @@ class GlobalState:
         self.nodes = nodes
         self.queue_head = queue_head
         self.extra = extra
-        self.extra_taken = extra_taken
         self.clock = clock
         self.counters = counters
         self.namenode_on = namenode_on
@@ -231,8 +228,8 @@ class GlobalState:
 
         A base entry is pending if and only if its task is still SUBMITTED:
         assignment and cascade failure are the only ways out of SUBMITTED,
-        and both consume the entry. Speculative entries are pending until
-        named in extra_taken."""
+        and both consume the entry. `extra` holds only the pending
+        speculative entries: assignment and cascade failure drop them."""
         scanned = 0
         cap = self.config.max_queue
         base = self.statics.queue
@@ -248,8 +245,6 @@ class GlobalState:
         for k, entry in enumerate(self.extra):
             if scanned >= cap:
                 break
-            if k in self.extra_taken:
-                continue
             yield n + k, entry[0], entry[1], entry[2]
             scanned += 1
 
@@ -274,37 +269,13 @@ class GlobalState:
 
     # -- fingerprints --------------------------------------------------------
 
-    def _scalar_hash(self) -> int:
-        return h128("s", self.clock, self.queue_head, self.counters,
-                    self.namenode_on, self.jobtracker_on, self.extra,
-                    tuple(sorted(self.extra_taken)))
-
-    def _node_hash(self, sym: bool) -> int:
-        acc = 0
-        named = self.statics.named_nodes
-        kind = self.statics.kind
-        for i, node in enumerate(self.nodes):
-            if not sym:
-                acc = (acc + h128("np", i, node)) % _M
-            elif i in named:
-                occ = tuple(sorted(repr(o) for o in node.slots if o is not None))
-                acc = (acc + h128("nn", i, node.on, occ)) % _M
-            else:
-                classes = []
-                for o in node.slots:
-                    if o is None:
-                        continue
-                    if isinstance(o, tuple):
-                        classes.append(kind[o[1]] + 2)
-                    else:
-                        classes.append(kind[o])
-                acc = (acc + h128("na", node.on, tuple(sorted(classes)))) % _M
-        return acc
-
     def fingerprint(self, sym: bool) -> int:
+        """A 128-bit hash of canonical_key(self, sym): the scalar and node
+        parts hashed here, the task and job parts kept incrementally."""
         th = self._th_sym if sym else self._th_plain
-        return (self._scalar_hash() + th + self._jh
-                + self._node_hash(sym)) % _M
+        return (h128(self.clock, self.queue_head, self.extra, self.counters,
+                     self.namenode_on, self.jobtracker_on,
+                     _node_key(self, sym)) + th + self._jh) % _M
 
     def is_terminal(self) -> bool:
         return next(iter_transitions(self), None) is None
@@ -321,25 +292,32 @@ def canonical_key(state: GlobalState, sym: bool) -> tuple:
         tasks.append((tid, _sym_rt(rt, named) if sym else rt))
     tasks.sort()
     jobs = tuple(sorted(state.jobs.items()))
-    if sym:
-        kind = state.statics.kind
-        node_parts = []
-        for i, node in enumerate(state.nodes):
-            if i in named:
-                node_parts.append(
-                    ("n", i, node.on,
-                     tuple(sorted(repr(o) for o in node.slots if o is not None))))
-            else:
-                classes = tuple(sorted(
-                    (kind[o[1]] + 2) if isinstance(o, tuple) else kind[o]
-                    for o in node.slots if o is not None))
-                node_parts.append(("a", node.on, classes))
-        nodes = tuple(sorted(node_parts, key=repr))
-    else:
-        nodes = state.nodes
-    return (state.clock, state.queue_head, state.extra,
-            tuple(sorted(state.extra_taken)), state.namenode_on,
-            state.jobtracker_on, state.counters, tuple(tasks), jobs, nodes)
+    return (state.clock, state.queue_head, state.extra, state.namenode_on,
+            state.jobtracker_on, state.counters, tuple(tasks), jobs,
+            _node_key(state, sym))
+
+
+def _node_key(state: GlobalState, sym: bool) -> tuple:
+    """The nodes part of the state key. With sym, a named node keeps its
+    index and the multiset of its occupants; an anonymous node reduces to
+    its on flag and the multiset of its occupants' kinds, and the node
+    parts are sorted."""
+    if not sym:
+        return state.nodes
+    named = state.statics.named_nodes
+    kind = state.statics.kind
+    node_parts = []
+    for i, node in enumerate(state.nodes):
+        if i in named:
+            node_parts.append(
+                ("n", i, node.on,
+                 tuple(sorted(repr(o) for o in node.slots if o is not None))))
+        else:
+            classes = tuple(sorted(
+                (kind[o[1]] + 2) if isinstance(o, tuple) else kind[o]
+                for o in node.slots if o is not None))
+            node_parts.append(("a", node.on, classes))
+    return tuple(sorted(node_parts, key=repr))
 
 
 def _sym_rt(rt: TaskRT, named: frozenset) -> TaskRT:
@@ -368,7 +346,6 @@ class _Builder:
         self.nodes = list(state.nodes)
         self.queue_head = state.queue_head
         self.extra = state.extra
-        self.extra_taken = state.extra_taken
         self.clock = state.clock
         self.counters = state.counters
         self.namenode_on = state.namenode_on
@@ -431,10 +408,9 @@ class _Builder:
         # positional: passing these by keyword doubles the cost of a state
         return GlobalState(
             self.src.statics, self.src.config, tuple(self.nodes), self.tasks,
-            self.jobs, self.queue_head, self.extra, self.extra_taken,
-            self.clock, self.counters, self.namenode_on, self.jobtracker_on,
-            self.running, self.sched_pending, self.th_sym, self.th_plain,
-            self.jh)
+            self.jobs, self.queue_head, self.extra, self.clock, self.counters,
+            self.namenode_on, self.jobtracker_on, self.running,
+            self.sched_pending, self.th_sym, self.th_plain, self.jh)
 
 
 def build_cluster(config: ClusterConfig, workload: WorkloadTrace) -> GlobalState:
@@ -502,7 +478,8 @@ def scheduler_step(state: GlobalState):
                              tuple(b.changed))
         else:
             rt = state.task(tid)
-            b.extra_taken = b.extra_taken | {qpos - len(base)}
+            k_extra = qpos - len(base)
+            b.extra = state.extra[:k_extra] + state.extra[k_extra + 1:]
             b.set_task(tid, rt._replace(copies=rt.copies + ((i, k, state.clock),)))
             b.set_slot(i, k, ("c", tid))
             b.bump(free_slots=-1)
@@ -531,8 +508,7 @@ def execute_step(state: GlobalState):
         running = list(state.running)
         insort(running, (end, tid))
         b.running = tuple(running)
-        b.bump(completedscheduled=1, n_started=1,
-               locality=local, nonlocality=1 - local,
+        b.bump(completedscheduled=1, locality=local, nonlocality=1 - local,
                n_served_fair=1 if start - st.submit[tid] <= cfg.fairness_wait_ms else 0)
         yield Transition(Event(f"execute.{tid}"), b.finish(), tuple(b.changed))
 
@@ -568,9 +544,7 @@ def _cascade(b: _Builder, state: GlobalState, jid: str, skip_tid: str):
                                     finish=b.clock, copies=()))
         b.bump(n_failed=1, free_slots=freed)
     # stale speculative entries for this job
-    for k, entry in enumerate(b.extra):
-        if entry[1] == jid and k not in b.extra_taken:
-            b.extra_taken = b.extra_taken | {k}
+    b.extra = tuple(e for e in b.extra if e[1] != jid)
 
 
 def _speculation_scan(b: _Builder, state: GlobalState):

@@ -28,14 +28,10 @@ def _bucket(key) -> int:
 
 
 class SMap:
-    __slots__ = ("_root", "_size")
+    __slots__ = ("_root",)
 
-    def __init__(self, _root=None, _size=0):
+    def __init__(self, _root=None):
         self._root = _root if _root is not None else (None,) * _OUTER
-        self._size = _size
-
-    def __len__(self):
-        return self._size
 
     def get(self, key, default=None):
         h = _bucket(key)
@@ -47,10 +43,6 @@ class SMap:
             return default
         return leaf.get(key, default)
 
-    def __contains__(self, key):
-        sentinel = object()
-        return self.get(key, sentinel) is not sentinel
-
     def set(self, key, value) -> "SMap":
         h = _bucket(key)
         i, j = h & 63, (h >> 6) & 63
@@ -58,31 +50,14 @@ class SMap:
         leaf = inner[j]
         if leaf is None:
             new_leaf = {key: value}
-            grew = 1
         else:
-            grew = 0 if key in leaf else 1
             new_leaf = dict(leaf)
             new_leaf[key] = value
         new_inner = list(inner)
         new_inner[j] = new_leaf
         new_root = list(self._root)
         new_root[i] = tuple(new_inner)
-        return SMap(tuple(new_root), self._size + grew)
-
-    def delete(self, key) -> "SMap":
-        h = _bucket(key)
-        i, j = h & 63, (h >> 6) & 63
-        inner = self._root[i]
-        leaf = inner[j] if inner is not None else None
-        if leaf is None or key not in leaf:
-            raise KeyError(key)
-        new_leaf = dict(leaf)
-        del new_leaf[key]
-        new_inner = list(inner)
-        new_inner[j] = new_leaf or None
-        new_root = list(self._root)
-        new_root[i] = tuple(new_inner)
-        return SMap(tuple(new_root), self._size - 1)
+        return SMap(tuple(new_root))
 
     def items(self):
         for inner in self._root:
@@ -91,16 +66,6 @@ class SMap:
             for leaf in inner:
                 if leaf:
                     yield from leaf.items()
-
-    def keys(self):
-        for k, _ in self.items():
-            yield k
-
-    def update_many(self, pairs) -> "SMap":
-        m = self
-        for k, v in pairs:
-            m = m.set(k, v)
-        return m
 
 
 EMPTY_SMAP = SMap()

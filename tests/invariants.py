@@ -47,6 +47,17 @@ def check_state(state):
     assert scanned == pending[:state.config.max_queue], \
         "iter_queue does not yield the pending base entries"
 
+    # the speculative queue: only pending entries, none of a failed job,
+    # and each speculation of a running task either queued or running
+    assert not any(state.job(jid).failed for _code, jid, _tid in state.extra), \
+        "a speculative entry of a failed job is still queued"
+    for tid in st.tids:
+        rt = state.task(tid)
+        if rt.phase == PROCESSED:
+            queued = sum(1 for e in state.extra if e[2] == tid)
+            assert queued + len(rt.copies) == rt.spec_count, \
+                f"speculations of {tid} neither queued nor running"
+
     rates = compute_rates(state).as_dict()
     for name in _PCT_RATES:
         assert 0.0 <= rates[name] <= 100.0, f"{name} out of [0, 100]"

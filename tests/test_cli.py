@@ -196,6 +196,23 @@ class TestWhatif:
         assert [c["label"] for c in report["comparisons"]] == \
             ["nodes=2", "nodes=4"]
 
+    def test_property_row_carries_scenario_verdict(self, tmp_path):
+        config, trace = write_fixture(tmp_path, "map_reduce_gate")
+        scenario = tmp_path / "scenario.conf"
+        scenario.write_text("task_timeout_ms = 4000\n")
+        out = tmp_path / "report.json"
+        code = main(["whatif", "--config", config, "--trace", trace,
+                     "--properties", props(tmp_path,
+                                           "#define bad failurerate > 99;\n"
+                                           "#assert cluster reaches bad;\n"),
+                     "--scenario", str(scenario), "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        (cmp_,) = report["comparisons"]
+        assert cmp_["scenario_verdict"] == "unreachable"
+        (row,) = report["properties"]
+        assert row["verdict"] == "unreachable"
+
     def test_missing_scenario_errors(self, tmp_path):
         config, trace = write_fixture(tmp_path, "two_jobs_fifo")
         assert main(["whatif", "--config", config, "--trace", trace,

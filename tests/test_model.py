@@ -343,14 +343,17 @@ class TestPhasesAndSymmetry:
         # both nodes are preferred by some task: no anonymity, no merging
         assert canonical_key(a, sym=True) != canonical_key(b, sym=True)
 
-    def test_fingerprint_tracks_canonical_key(self):
+    @pytest.mark.parametrize("sym", [False, True])
+    @pytest.mark.parametrize("name", ["map_reduce_gate", "speculative_copy",
+                                      "speculative_limit"])
+    def test_fingerprint_tracks_canonical_key(self, name, sym):
         # incremental fingerprints agree with structural keys across a walk
         seen_keys = {}
-        stack = [build("map_reduce_gate")]
+        stack = [build(name)]
         while stack:
             state = stack.pop()
-            key = canonical_key(state, sym=False)
-            fp = state.fingerprint(sym=False)
+            key = canonical_key(state, sym=sym)
+            fp = state.fingerprint(sym=sym)
             if key in seen_keys:
                 assert seen_keys[key] == fp
                 continue

@@ -1,37 +1,24 @@
 import random
 
-import pytest
-
 from schedcheck.smap import EMPTY_SMAP
 
 
 class TestBasics:
     def test_empty(self):
-        assert len(EMPTY_SMAP) == 0
-        assert "x" not in EMPTY_SMAP
+        assert list(EMPTY_SMAP.items()) == []
         assert EMPTY_SMAP.get("x") is None
         assert EMPTY_SMAP.get("x", 5) == 5
 
-    def test_set_get_delete(self):
+    def test_set_get(self):
         m = EMPTY_SMAP.set("a", 1).set("b", 2)
         assert m.get("a") == 1 and m.get("b") == 2
-        assert len(m) == 2
-        m2 = m.delete("a")
-        assert "a" not in m2 and m2.get("b") == 2
+        m2 = m.set("a", 3)
+        assert m2.get("a") == 3 and m2.get("b") == 2
         assert m.get("a") == 1  # original untouched
 
     def test_overwrite(self):
         m = EMPTY_SMAP.set("a", 1).set("a", 9)
-        assert m.get("a") == 9 and len(m) == 1
-
-    def test_delete_missing_raises(self):
-        with pytest.raises(KeyError):
-            EMPTY_SMAP.delete("nope")
-
-    def test_update_many(self):
-        m = EMPTY_SMAP.update_many([("a", 1), ("b", 2), ("c", 3)])
-        assert sorted(m.items()) == [("a", 1), ("b", 2), ("c", 3)]
-        assert sorted(m.keys()) == ["a", "b", "c"]
+        assert m.get("a") == 9 and list(m.items()) == [("a", 9)]
 
 
 class TestAgainstDictModel:
@@ -46,15 +33,10 @@ class TestAgainstDictModel:
             if op < 0.6:
                 m = m.set(key, step)
                 model[key] = step
-            elif op < 0.85 and model:
-                victim = rng.choice(sorted(model))
-                m = m.delete(victim)
-                del model[victim]
             else:
                 assert m.get(key) == model.get(key)
             if step % 500 == 0:
                 history.append((m, dict(model)))
-            assert len(m) == len(model)
         assert sorted(m.items()) == sorted(model.items())
         for snap, snap_model in history:
             assert sorted(snap.items()) == sorted(snap_model.items())
@@ -63,4 +45,4 @@ class TestAgainstDictModel:
         m = EMPTY_SMAP.set(("j", 1), "a").set(42, "b").set("x", "c")
         assert m.get(("j", 1)) == "a"
         assert m.get(42) == "b"
-        assert len(m) == 3
+        assert len(list(m.items())) == 3
