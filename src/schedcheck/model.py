@@ -110,7 +110,7 @@ class Statics:
     """Immutable per-run data shared by every state of one exploration."""
     __slots__ = ("tids", "idx_of", "kind", "submit", "duration", "deadline",
                  "preferred", "job_of", "job_tasks", "total_maps",
-                 "queue", "workload", "named_nodes", "job_ids")
+                 "queue", "workload", "named_nodes", "job_ids", "pool_of")
 
     def __init__(self, config: ClusterConfig, trace: WorkloadTrace):
         recs = trace.records
@@ -131,6 +131,8 @@ class Statics:
             job_tasks.setdefault(r.job_id, []).append(r.task_id)
         self.job_tasks = {j: tuple(ts) for j, ts in job_tasks.items()}
         self.job_ids = tuple(job_tasks)
+        # job id -> fair pool or capacity queue; None under fifo
+        self.pool_of = policies.pool_table(config, self.job_ids)
         self.total_maps = {
             j: sum(1 for t in ts if self.kind[t] == CODE_MAP)
             for j, ts in self.job_tasks.items()}

@@ -117,7 +117,9 @@ def sweep(base: ClusterConfig, dimension: str, values, workload: WorkloadTrace,
           goal: GoalExpr, strategy: str = "dfs-sym",
           state_budget: int = 5_000_000,
           time_budget_s: float = 0.0) -> list:
-    """One ComparisonReport per value of the swept dimension, in order."""
+    """One ComparisonReport per value of the swept dimension, in order.
+    The baseline leg is verified once and shared by every report, and a
+    value whose configuration equals the base reuses it as its scenario."""
     field = {"nodes": "node_count", "slots": "slots_per_node",
              "timeout": "task_timeout_ms", "scheduler": "scheduler"}.get(dimension)
     if field is None:
@@ -125,9 +127,13 @@ def sweep(base: ClusterConfig, dimension: str, values, workload: WorkloadTrace,
     values = list(values)
     if len(values) < 2:
         raise ValueError("a sweep needs at least two values")
+    base_leg = _run_leg(base, workload, goal, strategy, state_budget,
+                        time_budget_s)
     reports = []
     for v in values:
         scenario = Scenario(base, {field: v}, label=f"{dimension}={v}")
-        reports.append(run(scenario, workload, goal, strategy,
-                           state_budget, time_budget_s))
+        config = scenario.applied()
+        scen_leg = base_leg if config == base else _run_leg(
+            config, workload, goal, strategy, state_budget, time_budget_s)
+        reports.append(ComparisonReport(scenario.label, base_leg, scen_leg))
     return reports

@@ -1,8 +1,17 @@
-from fixtures import FIXTURES
+import random
 
+import pytest
+
+from fixtures import FIXTURES, mk_trace, rec
+
+import policies_reference
+
+from schedcheck.config import ClusterConfig
 from schedcheck.model import build_cluster, iter_transitions
-from schedcheck.policies import (capacity_states, job_number, pool_states,
-                                 select)
+from schedcheck.policies import job_number, select
+from schedcheck.trace import GeneratorSpec, synthesize
+
+POLICIES = ("fifo", "fair", "capacity")
 
 
 def activated(fixture):
@@ -17,6 +26,18 @@ def activated(fixture):
                 progressed = True
                 break
     return state
+
+
+def assign_first(state):
+    """The state after the first assignment the scheduler offers."""
+    return next(t for t in iter_transitions(state)
+                if t.event.name.startswith("assign.")).state
+
+
+def guarded(entries, last):
+    """Yield entries[0..last], then fail if asked for one more."""
+    yield from entries[:last + 1]
+    raise AssertionError(f"select read past entry {last}")
 
 
 class TestJobNumber:
@@ -42,37 +63,47 @@ class TestFifo:
 class TestFair:
     def test_prefers_pool_with_max_deficit(self):
         fx = FIXTURES["fair_two_pools"]
-        state = activated(fx)
         # occupy one slot with a j1 task (pool 1); j2's pool now has the
         # larger deficit, so its first entry must win
-        t = next(t for t in iter_transitions(state)
-                 if t.event.name.startswith("assign."))
-        state = t.state
-        pools = pool_states(state)
+        state = assign_first(activated(fx))
+        pools = policies_reference.pool_states(state)
         assert sum(p.running_slots for p in pools.values()) == 1
         qpos = select("fair", list(state.eligible_entries()), state)
-        _, jid, _ = state.statics.queue[qpos][0], \
-            state.statics.queue[qpos][1], state.statics.queue[qpos][2]
+        jid = state.statics.queue[qpos][1]
         occupied_pool = job_number("j1") % fx.config.fair_pools
         assert job_number(jid) % fx.config.fair_pools != occupied_pool
 
-    def test_tie_flag_on_equal_deficits(self):
+    def test_equal_deficits_keep_queue_order(self):
         state = activated(FIXTURES["fair_two_pools"])
         eligible = list(state.eligible_entries())
-        pools = pool_states(state)
+        pools = policies_reference.pool_states(state)
         # both pools start at equal deficit: the earliest entry wins
         assert len({p.entitled_slots - p.running_slots
                     for p in pools.values()}) == 1
         assert select("fair", eligible, state) == eligible[0][0]
 
+    def test_stops_at_first_entry_of_a_min_running_pool(self):
+        # a1 runs, so pool 1 (j1) runs one slot and pool 0 (j2) none; the
+        # window is a2 (pool 1), b1 (pool 0), b2 (pool 0)
+        state = assign_first(activated(FIXTURES["fair_two_pools"]))
+        eligible = list(state.eligible_entries())
+        assert [state.statics.queue[e[0]][2] for e in eligible] == \
+            ["a2", "b1", "b2"]
+        assert select("fair", guarded(eligible, 1), state) == eligible[1][0]
+
 
 class TestCapacity:
     def test_entitlements_tracked(self):
         fx = FIXTURES["capacity_two_queues"]
-        state = activated(fx)
-        caps = capacity_states(state)
-        assert len(caps) == 2
-        assert all(c.entitled_slots == 1.0 for c in caps.values())
+        # each queue is entitled to one of the two slots: once b1 (queue 0)
+        # runs, queue 0 is at capacity and queue 1's first entry wins
+        state = next(t.state for t in iter_transitions(activated(fx))
+                     if t.event.name.startswith("assign.b1."))
+        caps = policies_reference.capacity_states(state)
+        assert [(c.running_slots, c.entitled_slots)
+                for _, c in sorted(caps.items())] == [(1, 1.0), (0, 1.0)]
+        qpos = select("capacity", list(state.eligible_entries()), state)
+        assert state.statics.queue[qpos][1] == "j1"
 
     def test_first_under_capacity_queue_wins(self):
         fx = FIXTURES["capacity_two_queues"]
@@ -83,18 +114,71 @@ class TestCapacity:
         jid = state.statics.queue[qpos][1]
         assert job_number(jid) % nq == 0
 
+    def test_stops_at_first_entry_of_first_under_capacity_queue(self):
+        # nothing runs; the window is a1 (queue 1), b1 (queue 0), a2, b2
+        state = activated(FIXTURES["capacity_two_queues"])
+        eligible = list(state.eligible_entries())
+        assert [state.statics.queue[e[0]][2] for e in eligible] == \
+            ["a1", "b1", "a2", "b2"]
+        assert select("capacity", guarded(eligible, 1), state) == \
+            eligible[1][0]
+
     def test_fallback_when_all_at_capacity(self):
         fx = FIXTURES["capacity_two_queues"]
         state = activated(fx)
         # fill both slots (one per queue)
         for _ in range(2):
-            t = next(t for t in iter_transitions(state)
-                     if t.event.name.startswith("assign."))
-            state = t.state
+            state = assign_first(state)
         eligible = list(state.eligible_entries())
         assert eligible  # two tasks still queued
         # no free slot means the scheduler won't ask, but the policy itself
-        # must still answer deterministically
-        assert all(c.running_slots >= c.entitled_slots
-                   for c in capacity_states(state).values())
-        assert select("capacity", eligible, state) == eligible[0][0]
+        # must still answer deterministically, from the first entry alone
+        assert all(c.running_slots >= c.entitled_slots for c in
+                   policies_reference.capacity_states(state).values())
+        assert select("capacity", guarded(eligible, 0), state) == \
+            eligible[0][0]
+
+
+class TestAgainstListBasedReference:
+    """`select` picks the entry the list-based policies picked."""
+
+    @staticmethod
+    def assert_agrees(policy, state):
+        eligible = list(state.eligible_entries())
+        assert select(policy, iter(eligible), state) == \
+            policies_reference.select(policy, eligible, state)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_every_reachable_fixture_state(self, policy):
+        for fx in FIXTURES.values():
+            init = build_cluster(fx.config.override(scheduler=policy),
+                                 fx.trace)
+            seen = {init.fingerprint(False)}
+            stack = [init]
+            while stack:
+                state = stack.pop()
+                self.assert_agrees(policy, state)
+                for t in iter_transitions(state):
+                    key = t.state.fingerprint(False)
+                    if key not in seen:
+                        seen.add(key)
+                        stack.append(t.state)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_random_walks_over_a_generated_trace(self, policy):
+        trace = synthesize(GeneratorSpec(n_tasks=1_000, interarrival_ms=500,
+                                         profile="opencloud"), seed=7)
+        config = ClusterConfig(
+            node_count=4, slots_per_node=2, scheduler=policy, fair_pools=4,
+            capacity_queues=(("prod", 0.5), ("batch", 0.3), ("adhoc", 0.2)))
+        rng = random.Random(20261018)
+        # a short window often holds no entry of the deciding pool or queue
+        for max_queue in (config.max_queue, 3):
+            state = build_cluster(config.override(max_queue=max_queue),
+                                  trace)
+            for _ in range(200):
+                self.assert_agrees(policy, state)
+                successors = list(iter_transitions(state))
+                if not successors:
+                    break
+                state = rng.choice(successors).state

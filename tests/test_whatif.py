@@ -4,6 +4,7 @@ from fixtures import FIXTURES, mk_trace, rec
 
 import oracle
 
+from schedcheck import whatif
 from schedcheck.checker import Atom, GoalExpr
 from schedcheck.config import ClusterConfig
 from schedcheck.model import build_cluster
@@ -77,6 +78,26 @@ class TestSweep:
         assert [r.label for r in reports] == [
             "scheduler=fifo", "scheduler=fair", "scheduler=capacity"]
         assert all(r.conclusive for r in reports)
+
+    def test_scheduler_sweep_verifies_the_baseline_once(self, monkeypatch):
+        fx = FIXTURES["fair_two_pools"]  # base scheduler: fair
+        values = ["fifo", "fair", "capacity"]
+        verified = []
+        verify = whatif.verify
+
+        def counting_verify(initial, *args, **kwargs):
+            verified.append(initial.config.scheduler)
+            return verify(initial, *args, **kwargs)
+
+        monkeypatch.setattr(whatif, "verify", counting_verify)
+        reports = sweep(fx.config, "scheduler", values, fx.trace, GOAL0)
+        # the base leg once, then one leg per value unlike the base
+        assert verified == ["fair", "fifo", "capacity"]
+        monkeypatch.undo()
+        assert reports == [
+            run(Scenario(fx.config, {"scheduler": v}, f"scheduler={v}"),
+                fx.trace, GOAL0)
+            for v in values]
 
     def test_bad_dimension_and_short_values(self):
         fx = FIXTURES["two_jobs_fifo"]
