@@ -209,8 +209,15 @@ def cmd_whatif(args) -> int:
     reports = []
     if args.sweep:
         values = [v.strip() for v in args.values.split(",") if v.strip()]
+        if len(values) < 2:
+            raise SchedCheckError(
+                "--sweep needs at least two comma-separated --values")
         if args.sweep != "scheduler":
-            values = [int(v) for v in values]
+            try:
+                values = [int(v) for v in values]
+            except ValueError:
+                raise SchedCheckError(f"--sweep {args.sweep} takes integer "
+                                      f"values, got {args.values!r}") from None
         reports = whatif.sweep(config, args.sweep, values, workload, goal,
                                strategy=args.strategy,
                                state_budget=args.state_budget,
@@ -258,6 +265,17 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _at_least(least, kind):
+    """An argparse type: a `kind` number no smaller than `least`."""
+    def parse(text):
+        value = kind(text)
+        if not value >= least:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # names the type in argparse's messages
+    return parse
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="schedcheck",
@@ -274,9 +292,12 @@ def _build_parser():
                         help="override the configured scheduling policy")
         sp.add_argument("--strategy", choices=list(checker.STRATEGIES),
                         default="dfs-sym")
-        sp.add_argument("--state-budget", type=int, default=5_000_000)
-        sp.add_argument("--time-budget", type=float, default=0.0,
-                        help="wall-clock budget in seconds (0 = none)")
+        sp.add_argument("--state-budget", type=_at_least(1, int),
+                        default=5_000_000,
+                        help="distinct states to visit at most (>= 1)")
+        sp.add_argument("--time-budget", type=_at_least(0, float),
+                        default=0.0,
+                        help="wall-clock budget in seconds (>= 0; 0 = none)")
         sp.add_argument("--out", help="write the JSON report here")
         sp.add_argument("--properties", required=True)
 

@@ -19,7 +19,6 @@ from typing import NamedTuple
 from . import policies
 from .config import ClusterConfig
 from .errors import EmptyWorkload, SlotConflict
-from .smap import EMPTY_SMAP
 from .trace import MAP, WorkloadTrace
 
 # Task lifecycle phases. WAITING_RESOURCES is a derived view of a queued
@@ -87,6 +86,45 @@ class JobRT(NamedTuple):
 DEFAULT_JOB = JobRT()
 
 
+# A state keeps its task and job records in persistent tables indexed by
+# position: a task's trace record index, a job's index in Statics.job_ids.
+# A table is Bagwell's array-mapped trie cut to three levels of 32-way
+# tuples, the layout of Clojure's PersistentVector: position i sits at
+# table[i >> 10][(i >> 5) & 31][i & 31]. A read is three indexings; a write
+# copies the three tuples on its path and shares the rest. The root has one
+# entry per 1,024 positions and every slot starts at the default record.
+
+def new_table(n: int, default) -> tuple:
+    """A table of n positions (rounded up to 1,024), all `default`."""
+    return (((default,) * 32,) * 32,) * -(-n // 1024)
+
+
+def table_get(table: tuple, i: int):
+    return table[i >> 10][(i >> 5) & 31][i & 31]
+
+
+def table_set(table: tuple, i: int, value) -> tuple:
+    """A new table with position i set to value; `table` is unchanged."""
+    r, j = i >> 10, (i >> 5) & 31
+    mid = list(table[r])
+    leaf = list(mid[j])
+    leaf[i & 31] = value
+    mid[j] = tuple(leaf)
+    root = list(table)
+    root[r] = tuple(mid)
+    return tuple(root)
+
+
+def table_records(table: tuple, n: int) -> list:
+    """The records at positions 0 .. n-1, in order; no padding is read
+    beyond the last leaf."""
+    out = []
+    for p in range(-(-n // 32)):
+        out.extend(table[p >> 5][p & 31])
+    del out[n:]
+    return out
+
+
 class NodeRT(NamedTuple):
     on: bool
     slots: tuple  # per slot: None | task_id | ("c", task_id)
@@ -110,7 +148,8 @@ class Statics:
     """Immutable per-run data shared by every state of one exploration."""
     __slots__ = ("tids", "idx_of", "kind", "submit", "duration", "deadline",
                  "preferred", "job_of", "job_tasks", "total_maps",
-                 "queue", "workload", "named_nodes", "job_ids", "pool_of")
+                 "queue", "workload", "named_nodes", "job_ids", "job_idx_of",
+                 "pool_of")
 
     def __init__(self, config: ClusterConfig, trace: WorkloadTrace):
         recs = trace.records
@@ -126,16 +165,15 @@ class Statics:
             for r in recs}
         self.preferred = {r.task_id: r.preferred_node for r in recs}
         self.job_of = {r.task_id: r.job_id for r in recs}
-        job_tasks = {}
-        for r in recs:
-            job_tasks.setdefault(r.job_id, []).append(r.task_id)
-        self.job_tasks = {j: tuple(ts) for j, ts in job_tasks.items()}
-        self.job_ids = tuple(job_tasks)
+        # job id -> the positions of its tasks, in trace order
+        self.job_tasks = trace.job_index
+        self.job_ids = tuple(self.job_tasks)
+        self.job_idx_of = {j: i for i, j in enumerate(self.job_ids)}
         # job id -> fair pool or capacity queue; None under fifo
         self.pool_of = policies.pool_table(config, self.job_ids)
         self.total_maps = {
-            j: sum(1 for t in ts if self.kind[t] == CODE_MAP)
-            for j, ts in self.job_tasks.items()}
+            j: sum(1 for p in ps if recs[p].kind == MAP)
+            for j, ps in self.job_tasks.items()}
         self.queue = tuple(
             (self.kind[r.task_id], r.job_id, r.task_id) for r in recs)
         self.workload = len(recs)
@@ -161,12 +199,12 @@ class GlobalState:
                  "running", "sched_pending", "_th_sym", "_th_plain", "_jh")
 
     def __init__(self, statics: Statics, config: ClusterConfig, nodes: tuple,
-                 tasks=EMPTY_SMAP, jobs=EMPTY_SMAP, queue_head=0, extra=(),
-                 clock=0, counters=Counters(), namenode_on=False,
-                 jobtracker_on=False, running=(), sched_pending=(), th_sym=0,
-                 th_plain=0, jh=0):
-        """The one constructor of a state; the defaults are the cold
-        cluster that build_cluster starts from."""
+                 tasks: tuple, jobs: tuple, queue_head=0, extra=(), clock=0,
+                 counters=Counters(), namenode_on=False, jobtracker_on=False,
+                 running=(), sched_pending=(), th_sym=0, th_plain=0, jh=0):
+        """The one constructor of a state; the defaults, with all-default
+        task and job tables, are the cold cluster that build_cluster starts
+        from."""
         self.statics = statics
         self.config = config
         self.tasks = tasks
@@ -185,10 +223,12 @@ class GlobalState:
         self._jh = jh
 
     def task(self, tid) -> TaskRT:
-        return self.tasks.get(tid, DEFAULT_RT)
+        i = self.statics.idx_of[tid]
+        return self.tasks[i >> 10][(i >> 5) & 31][i & 31]
 
     def job(self, jid) -> JobRT:
-        return self.jobs.get(jid, DEFAULT_JOB)
+        i = self.statics.job_idx_of[jid]
+        return self.jobs[i >> 10][(i >> 5) & 31][i & 31]
 
     # -- derived task views ------------------------------------------------
 
@@ -230,8 +270,9 @@ class GlobalState:
 
         A base entry is pending if and only if its task is still SUBMITTED:
         assignment and cascade failure are the only ways out of SUBMITTED,
-        and both consume the entry. `extra` holds only the pending
-        speculative entries: assignment and cascade failure drop them."""
+        and both consume the entry. Base entry i is task i, so its record
+        is read by position. `extra` holds only the pending speculative
+        entries: assignment and cascade failure drop them."""
         scanned = 0
         cap = self.config.max_queue
         base = self.statics.queue
@@ -239,8 +280,8 @@ class GlobalState:
         i = self.queue_head
         n = len(base)
         while i < n and scanned < cap:
-            code, jid, tid = base[i]
-            if tasks.get(tid, DEFAULT_RT).phase == SUBMITTED:
+            if tasks[i >> 10][(i >> 5) & 31][i & 31].phase == SUBMITTED:
+                code, jid, tid = base[i]
                 yield i, code, jid, tid
                 scanned += 1
             i += 1
@@ -287,15 +328,16 @@ def canonical_key(state: GlobalState, sym: bool) -> tuple:
     """Structural state identity (hash-free, collision-free); with sym=True
     the key is invariant under permutations of anonymous nodes and of slots
     within a node. Meant for small models and cross-checks, not for the
-    explorer's visited set."""
-    named = state.statics.named_nodes
-    tasks = []
-    for tid, rt in state.tasks.items():
-        tasks.append((tid, _sym_rt(rt, named) if sym else rt))
-    tasks.sort()
-    jobs = tuple(sorted(state.jobs.items()))
+    explorer's visited set. Records are listed in position order, so
+    untouched tasks and jobs appear with their default record."""
+    st = state.statics
+    tasks = table_records(state.tasks, st.workload)
+    if sym:
+        named = st.named_nodes
+        tasks = [_sym_rt(rt, named) for rt in tasks]
+    jobs = table_records(state.jobs, len(st.job_ids))
     return (state.clock, state.queue_head, state.extra, state.namenode_on,
-            state.jobtracker_on, state.counters, tuple(tasks), jobs,
+            state.jobtracker_on, state.counters, tuple(tasks), tuple(jobs),
             _node_key(state, sym))
 
 
@@ -359,21 +401,25 @@ class _Builder:
         self.jh = state._jh
         self.changed = []
 
-    def set_task(self, tid, rt: TaskRT):
-        named = self.src.statics.named_nodes
-        old = self.tasks.get(tid, DEFAULT_RT)
+    def set_task(self, i: int, rt: TaskRT):
+        """Set the record of the task at position i."""
+        st = self.src.statics
+        tid = st.tids[i]
+        old = table_get(self.tasks, i)
         if old.phase != rt.phase:
             self.changed.append((tid, old.phase, rt.phase))
-        hs_old, hp_old = _task_hashes(tid, old, named)
-        hs_new, hp_new = _task_hashes(tid, rt, named)
+        hs_old, hp_old = _task_hashes(tid, old, st.named_nodes)
+        hs_new, hp_new = _task_hashes(tid, rt, st.named_nodes)
         self.th_sym = (self.th_sym - hs_old + hs_new) % _M
         self.th_plain = (self.th_plain - hp_old + hp_new) % _M
-        self.tasks = self.tasks.set(tid, rt)
+        self.tasks = table_set(self.tasks, i, rt)
 
-    def set_job(self, jid, rt: JobRT):
-        old = self.jobs.get(jid, DEFAULT_JOB)
+    def set_job(self, i: int, rt: JobRT):
+        """Set the record of the job at position i."""
+        jid = self.src.statics.job_ids[i]
+        old = table_get(self.jobs, i)
         self.jh = (self.jh - h128("j", jid, old) + h128("j", jid, rt)) % _M
-        self.jobs = self.jobs.set(jid, rt)
+        self.jobs = table_set(self.jobs, i, rt)
 
     def add_extra(self, entry):
         self.extra = self.extra + (entry,)
@@ -392,16 +438,18 @@ class _Builder:
 
     def finish(self) -> GlobalState:
         # advance past consumed entries so scans stay O(window)
-        base = self.src.statics.queue
-        while self.queue_head < len(base) and self.tasks.get(
-                base[self.queue_head][2], DEFAULT_RT).phase != SUBMITTED:
-            self.queue_head += 1
+        st = self.src.statics
+        tasks = self.tasks
+        i, n = self.queue_head, st.workload
+        while i < n and tasks[i >> 10][(i >> 5) & 31][i & 31].phase != SUBMITTED:
+            i += 1
+        self.queue_head = i
         state = self._build()
         to_flag = _deadlock_flags(state)
         if not to_flag:
             return state
         for tid in to_flag:
-            self.set_task(tid, state.task(tid)._replace(dl=1))
+            self.set_task(st.idx_of[tid], state.task(tid)._replace(dl=1))
         self.bump(n_deadlock=len(to_flag))
         # flags never free slots, so no second detection pass
         return self._build()
@@ -421,7 +469,9 @@ def build_cluster(config: ClusterConfig, workload: WorkloadTrace) -> GlobalState
         raise EmptyWorkload("cannot build a cluster model over an empty workload")
     nodes = tuple(NodeRT(False, (None,) * config.slots_per_node)
                   for _ in range(config.node_count))
-    return GlobalState(Statics(config, workload), config, nodes)
+    st = Statics(config, workload)
+    return GlobalState(st, config, nodes, new_table(st.workload, DEFAULT_RT),
+                       new_table(len(st.job_ids), DEFAULT_JOB))
 
 
 # --------------------------------------------------------------------------
@@ -469,8 +519,9 @@ def scheduler_step(state: GlobalState):
             continue
         b = _Builder(state)
         if code in (CODE_MAP, CODE_REDUCE):
-            rt = state.task(tid)
-            b.set_task(tid, rt._replace(phase=SCHEDULED, node=i, slot=k))
+            # a base entry's queue index is its task's position
+            rt = table_get(state.tasks, qpos)
+            b.set_task(qpos, rt._replace(phase=SCHEDULED, node=i, slot=k))
             b.set_slot(i, k, tid)
             pending = list(state.sched_pending)
             insort(pending, tid)
@@ -479,10 +530,11 @@ def scheduler_step(state: GlobalState):
             yield Transition(Event(f"assign.{tid}.{i}"), b.finish(),
                              tuple(b.changed))
         else:
-            rt = state.task(tid)
+            ti = state.statics.idx_of[tid]
+            rt = table_get(state.tasks, ti)
             k_extra = qpos - len(base)
             b.extra = state.extra[:k_extra] + state.extra[k_extra + 1:]
-            b.set_task(tid, rt._replace(copies=rt.copies + ((i, k, state.clock),)))
+            b.set_task(ti, rt._replace(copies=rt.copies + ((i, k, state.clock),)))
             b.set_slot(i, k, ("c", tid))
             b.bump(free_slots=-1)
             yield Transition(Event(f"assign_spec.{tid}.{i}"), b.finish(),
@@ -495,7 +547,8 @@ def execute_step(state: GlobalState):
     cfg = state.config
     st = state.statics
     for tid in state.sched_pending:
-        rt = state.task(tid)
+        ti = st.idx_of[tid]
+        rt = table_get(state.tasks, ti)
         jid = st.job_of[tid]
         if st.kind[tid] == CODE_REDUCE and \
                 state.job(jid).fin_maps < st.total_maps[jid]:
@@ -505,7 +558,7 @@ def execute_step(state: GlobalState):
         pref = st.preferred[tid]
         local = 1 if (pref is None or pref == rt.node) else 0
         b = _Builder(state)
-        b.set_task(tid, rt._replace(phase=PROCESSED, start=start, local=local))
+        b.set_task(ti, rt._replace(phase=PROCESSED, start=start, local=local))
         b.sched_pending = tuple(t for t in state.sched_pending if t != tid)
         running = list(state.running)
         insort(running, (end, tid))
@@ -528,22 +581,24 @@ def _free_task_slots(b: _Builder, rt: TaskRT, state: GlobalState):
     return freed
 
 
-def _cascade(b: _Builder, state: GlobalState, jid: str, skip_tid: str):
-    """A failed map fails its job; all not-yet-finished sibling tasks fail."""
+def _cascade(b: _Builder, state: GlobalState, jid: str, skip: int):
+    """A failed map fails its job; all not-yet-finished sibling tasks fail.
+    `skip` is the failed map's position."""
     st = state.statics
-    for tid in st.job_tasks[jid]:
-        if tid == skip_tid:
+    for i in st.job_tasks[jid]:
+        if i == skip:
             continue
-        rt = b.tasks.get(tid, DEFAULT_RT)
+        rt = table_get(b.tasks, i)
         if rt.phase in (FINISHED_WITHIN_DEADLINE, FINISHED_AFTER_DEADLINE, FAILED):
             continue
+        tid = st.tids[i]
         freed = _free_task_slots(b, rt, state)
         if rt.phase == SCHEDULED:
             b.sched_pending = tuple(t for t in b.sched_pending if t != tid)
         elif rt.phase == PROCESSED:
             b.running = tuple(e for e in b.running if e[1] != tid)
-        b.set_task(tid, rt._replace(phase=FAILED, cause=CAUSE_CASCADE,
-                                    finish=b.clock, copies=()))
+        b.set_task(i, rt._replace(phase=FAILED, cause=CAUSE_CASCADE,
+                                  finish=b.clock, copies=()))
         b.bump(n_failed=1, free_slots=freed)
     # stale speculative entries for this job
     b.extra = tuple(e for e in b.extra if e[1] != jid)
@@ -558,11 +613,13 @@ def _speculation_scan(b: _Builder, state: GlobalState):
         return
     st = state.statics
     for _end, tid in b.running:
-        rt = b.tasks.get(tid, DEFAULT_RT)
+        i = st.idx_of[tid]
+        rt = b.tasks[i >> 10][(i >> 5) & 31][i & 31]
         if rt.spec_count >= cfg.max_speculative:
             continue
         jid = st.job_of[tid]
-        job = b.jobs.get(jid, DEFAULT_JOB)
+        j = st.job_idx_of[jid]
+        job = b.jobs[j >> 10][(j >> 5) & 31][j & 31]
         if st.kind[tid] == CODE_MAP:
             cnt, tot = job.fin_maps, job.fin_map_dur
         else:
@@ -573,7 +630,7 @@ def _speculation_scan(b: _Builder, state: GlobalState):
         if b.clock - rt.start > cfg.speculation_factor * estimate:
             code = st.kind[tid] + 2
             b.add_extra((code, jid, tid))
-            b.set_task(tid, rt._replace(spec_count=rt.spec_count + 1))
+            b.set_task(i, rt._replace(spec_count=rt.spec_count + 1))
 
 
 def complete_or_fail_step(state: GlobalState):
@@ -584,8 +641,9 @@ def complete_or_fail_step(state: GlobalState):
     end, tid = state.running[0]
     st = state.statics
     cfg = state.config
-    rt = state.task(tid)
-    jid = st.job_of[tid]
+    ti, jid = st.idx_of[tid], st.job_of[tid]
+    ji = st.job_idx_of[jid]
+    rt = table_get(state.tasks, ti)
     dur = st.duration[tid]
     b = _Builder(state)
     b.clock = end
@@ -593,47 +651,37 @@ def complete_or_fail_step(state: GlobalState):
     freed = _free_task_slots(b, rt, state)
     b.bump(free_slots=freed)
 
-    failed = dur > cfg.task_timeout_ms
-    if failed:
+    if dur > cfg.task_timeout_ms:
         cause = CAUSE_SPECULATIVE if rt.spec_count > 0 else CAUSE_TIMEOUT
-        b.set_task(tid, rt._replace(phase=FAILED, cause=cause, finish=end,
-                                    copies=()))
+    elif end > st.deadline[tid] and rt.start > st.deadline[tid]:
+        cause = CAUSE_QUEUEWAIT  # the queue wait alone consumed the deadline
+    else:
+        cause = CAUSE_NONE
+    if cause != CAUSE_NONE:
+        b.set_task(ti, rt._replace(phase=FAILED, cause=cause, finish=end,
+                                   copies=()))
         b.bump(n_failed=1)
         event = Event(f"fail.{tid}")
         if st.kind[tid] == CODE_MAP:
-            job = b.jobs.get(jid, DEFAULT_JOB)
+            job = table_get(b.jobs, ji)
             if not job.failed:
-                b.set_job(jid, job._replace(failed=1))
-            _cascade(b, state, jid, tid)
+                b.set_job(ji, job._replace(failed=1))
+            _cascade(b, state, jid, ti)
     else:
         if end <= st.deadline[tid]:
             phase = FINISHED_WITHIN_DEADLINE
             b.bump(n_fin_within=1)
-        elif rt.start > st.deadline[tid]:
-            # the queue wait alone consumed the deadline
-            b.set_task(tid, rt._replace(phase=FAILED, cause=CAUSE_QUEUEWAIT,
-                                        finish=end, copies=()))
-            b.bump(n_failed=1)
-            event = Event(f"fail.{tid}")
-            if st.kind[tid] == CODE_MAP:
-                job = b.jobs.get(jid, DEFAULT_JOB)
-                if not job.failed:
-                    b.set_job(jid, job._replace(failed=1))
-                _cascade(b, state, jid, tid)
-            _speculation_scan(b, state)
-            yield Transition(event, b.finish(), tuple(b.changed))
-            return
         else:
             phase = FINISHED_AFTER_DEADLINE
             b.bump(n_fin_after=1)
-        b.set_task(tid, rt._replace(phase=phase, finish=end, copies=()))
-        job = b.jobs.get(jid, DEFAULT_JOB)
+        b.set_task(ti, rt._replace(phase=phase, finish=end, copies=()))
+        job = table_get(b.jobs, ji)
         if st.kind[tid] == CODE_MAP:
-            b.set_job(jid, job._replace(fin_maps=job.fin_maps + 1,
-                                        fin_map_dur=job.fin_map_dur + dur))
+            b.set_job(ji, job._replace(fin_maps=job.fin_maps + 1,
+                                       fin_map_dur=job.fin_map_dur + dur))
         else:
-            b.set_job(jid, job._replace(fin_reds=job.fin_reds + 1,
-                                        fin_red_dur=job.fin_red_dur + dur))
+            b.set_job(ji, job._replace(fin_reds=job.fin_reds + 1,
+                                       fin_red_dur=job.fin_red_dur + dur))
         event = Event(f"complete.{tid}")
     _speculation_scan(b, state)
     yield Transition(event, b.finish(), tuple(b.changed))
@@ -740,8 +788,7 @@ def terminal_summary(state: GlobalState) -> dict:
     unfinished = []
     phase_counts = [0] * len(PHASE_NAMES)
     stragglers = 0
-    for tid in st.tids:
-        rt = state.task(tid)
+    for tid, rt in zip(st.tids, table_records(state.tasks, st.workload)):
         phase_counts[state.task_phase(tid)] += 1
         if rt.phase == FAILED:
             failed[tid] = CAUSE_NAMES[rt.cause]
@@ -751,9 +798,8 @@ def terminal_summary(state: GlobalState) -> dict:
             stragglers += 1
     chains = {}
     for jid in st.job_ids:
-        n = sum(1 for t in st.job_tasks[jid]
-                if state.task(t).phase == FAILED
-                and state.task(t).cause == CAUSE_CASCADE)
+        n = sum(1 for i in st.job_tasks[jid]
+                if table_get(state.tasks, i).cause == CAUSE_CASCADE)
         if n:
             chains[jid] = n
     rates = compute_rates(state)

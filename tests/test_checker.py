@@ -1,11 +1,12 @@
 import pytest
 
-from fixtures import FIXTURES
+from fixtures import FIXTURES, mk_trace, rec
 
 import oracle
 
 from schedcheck.checker import (Atom, GoalExpr, TaskAssertion,
                                 parse_properties, verify, verify_assertion)
+from schedcheck.config import ClusterConfig
 from schedcheck.errors import PropertySyntaxError, UnknownTask
 from schedcheck.model import (PHASE_BY_NAME, build_cluster, canonical_key,
                               iter_transitions, replay)
@@ -192,3 +193,19 @@ class TestAssertions:
         with pytest.raises(UnknownTask):
             verify_assertion(build("single_map"),
                              TaskAssertion("ghost", "never", 6))
+
+    @pytest.mark.xfail(strict=True, reason="task_ever_reached(SCHEDULED) "
+                       "counts a task failed by cascade while still queued")
+    @pytest.mark.parametrize("strategy", ["dfs", "dfs-sym"])
+    def test_cascade_failure_in_queue_is_not_scheduled(self, strategy):
+        """One slot: m1 runs past the timeout and fails job j1 while m2 is
+        still queued, so m2 fails by cascade without ever being scheduled."""
+        trace = mk_trace([rec("m1", "j1", "map", 0, 500),
+                          rec("m2", "j1", "map", 0, 50)])
+        config = ClusterConfig(node_count=1, slots_per_node=1,
+                               task_timeout_ms=100, max_speculative=0)
+        _, (never_scheduled,) = parse_properties(
+            "#assert task m2 never Scheduled;")
+        res = verify_assertion(build_cluster(config, trace), never_scheduled,
+                               strategy=strategy)
+        assert res.verdict == "holds", [s.event for s in res.witness.steps]

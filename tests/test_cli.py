@@ -97,6 +97,16 @@ class TestVerify:
                      "--trace", str(tmp_path / "missing.csv"),
                      "--properties", props(tmp_path, GOAL0_PROPS)]) == 3
 
+    @pytest.mark.parametrize("budget", [["--time-budget", "-1"],
+                                        ["--state-budget", "0"],
+                                        ["--state-budget", "-5"]])
+    def test_out_of_range_budget_exits_three(self, tmp_path, capsys, budget):
+        config, trace = write_fixture(tmp_path, "map_reduce_gate")
+        code = main(["verify", "--config", config, "--trace", trace,
+                     "--properties", props(tmp_path, GOAL0_PROPS), *budget])
+        assert code == 3
+        assert f"argument {budget[0]}: must be >=" in capsys.readouterr().err
+
     def test_report_roundtrips(self, tmp_path):
         config, trace = write_fixture(tmp_path, "map_reduce_gate")
         out = tmp_path / "report.json"
@@ -212,6 +222,17 @@ class TestWhatif:
         assert cmp_["scenario_verdict"] == "unreachable"
         (row,) = report["properties"]
         assert row["verdict"] == "unreachable"
+
+    @pytest.mark.parametrize("values", [["--values", "x,2"],
+                                        ["--values", "4"], []])
+    def test_bad_sweep_values_exit_three(self, tmp_path, capsys, values):
+        config, trace = write_fixture(tmp_path, "two_jobs_fifo")
+        code = main(["whatif", "--config", config, "--trace", trace,
+                     "--properties", props(tmp_path, GOAL0_PROPS),
+                     "--sweep", "nodes", *values])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: --sweep") and err.count("\n") == 1
 
     def test_missing_scenario_errors(self, tmp_path):
         config, trace = write_fixture(tmp_path, "two_jobs_fifo")
