@@ -199,6 +199,10 @@ def _explore(initial: GlobalState, strategy: str, state_budget: int,
                 path.pop()
             continue
         n_trans += 1
+        # ahead of the visited lookup, so a duplicate cannot skip a check
+        if deadline is not None and n_trans % check_every == 0 and \
+                time.monotonic() > deadline:
+            return result("unknown", reason="time budget exhausted")
         succ = t.state
         fp = succ.fingerprint(sym)
         if fp in visited:
@@ -206,9 +210,6 @@ def _explore(initial: GlobalState, strategy: str, state_budget: int,
         visited.add(fp)
         if len(visited) > state_budget:
             return result("unknown", reason="state budget exhausted")
-        if deadline is not None and n_trans % check_every == 0 and \
-                time.monotonic() > deadline:
-            return result("unknown", reason="time budget exhausted")
         succ_it = iter_transitions(succ)
         first = next(succ_it, None)
         terminal = first is None

@@ -6,14 +6,21 @@ States are immutable values; every step operation produces new states, so
 exploration may share them freely. Logical time advances only at completion
 transitions, jumping to the earliest finish time among running tasks; queue
 wait is measured as start - submit.
+
+A state's fingerprint is a Zobrist-style sum (Zobrist 1970; the idea behind
+SPIN and TLC fingerprints): every task and job position has a fixed random
+key, a record's digest is the built-in hash() of an int tuple, and each
+transition adds key times digest change for the records it writes. The
+scalar and node parts are digested per fingerprint. See
+GlobalState.fingerprint for the collision bound.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from bisect import insort
 from dataclasses import dataclass
-from hashlib import blake2b
 from typing import NamedTuple
 
 from . import policies
@@ -49,14 +56,6 @@ CODE_MAP = 1
 CODE_REDUCE = 2
 CODE_SPEC_MAP = 3
 CODE_SPEC_REDUCE = 4
-
-_M = 1 << 128
-
-
-def h128(*parts) -> int:
-    return int.from_bytes(
-        blake2b(repr(parts).encode(), digest_size=16).digest(), "big")
-
 
 class TaskRT(NamedTuple):
     """Dynamic per-task state; static attributes live in Statics."""
@@ -144,12 +143,41 @@ class Counters(NamedTuple):
     free_slots: int = 0
 
 
+# Fingerprint keys are drawn from random.Random(_KEY_SEED), 16 bytes a key;
+# any constant will do.
+_KEY_SEED = 0x5C4ED_C4EC
+_key_bytes = b""
+
+
+def _draw_keys(n: int) -> bytes:
+    """The bytes of keys 0 .. n - 1 at least. A longer draw starts with the
+    same bytes, so the longest draw yet serves every model, and key k is
+    the same whatever was drawn before. (Seeding a generator for each model
+    instead made the set-up of ten small models 13 % slower.)"""
+    global _key_bytes
+    if len(_key_bytes) < 16 * n:
+        _key_bytes = random.Random(_KEY_SEED).randbytes(16 * n)
+    return _key_bytes
+
+
+def _key_at(key_bytes: bytes, k: int) -> int:
+    """Key k: 2r + 1 for the 128 random bits r at k, odd and so never
+    zero."""
+    return int.from_bytes(key_bytes[16 * k:16 * k + 16], "little") << 1 | 1
+
+
+# keys 0 and 1, of the scalar and node parts; key k + 2 is position k's
+_SCALAR_KEY = _key_at(_draw_keys(2), 0)
+_NODES_KEY = _key_at(_draw_keys(2), 1)
+
+
 class Statics:
-    """Immutable per-run data shared by every state of one exploration."""
+    """Per-run data shared by every state of one exploration; immutable
+    but for `keys`, which fills with fixed values on first use."""
     __slots__ = ("tids", "idx_of", "kind", "submit", "duration", "deadline",
                  "preferred", "job_of", "job_tasks", "total_maps",
                  "queue", "workload", "named_nodes", "job_ids", "job_idx_of",
-                 "pool_of")
+                 "pool_of", "key_bytes", "keys")
 
     def __init__(self, config: ClusterConfig, trace: WorkloadTrace):
         recs = trace.records
@@ -180,6 +208,18 @@ class Statics:
         self.named_nodes = frozenset(
             p for p in self.preferred.values()
             if p is not None and 0 <= p < config.node_count)
+        # Fingerprint keys (see GlobalState.fingerprint) of the task
+        # positions, then the job positions, from key 2 on. A key is made
+        # from its bytes on first use, so set-up pays for the bytes alone.
+        n = self.workload + len(self.job_ids)
+        self.key_bytes = _draw_keys(n + 2)
+        self.keys = [None] * n
+
+    def key(self, k: int) -> int:
+        """Makes and keeps the fingerprint key of position k. Read a key as
+        `keys[k] or key(k)`."""
+        key = self.keys[k] = _key_at(self.key_bytes, k + 2)
+        return key
 
 
 class Event(NamedTuple):
@@ -313,75 +353,122 @@ class GlobalState:
     # -- fingerprints --------------------------------------------------------
 
     def fingerprint(self, sym: bool) -> int:
-        """A 128-bit hash of canonical_key(self, sym): the scalar and node
-        parts hashed here, the task and job parts kept incrementally."""
+        """The state's identity under canonical_key(self, sym), as one int:
+        the exact sum of K_i (d_i - d0_i) over the task and job positions i,
+        plus S s + N m. K_i is position i's fixed random key (Statics.key),
+        d_i the hash() of its record's view (the record itself, or _sym_rt's
+        view of a task under sym) and d0_i that of the default record. s and
+        m are the hash() of _scalar_key and of _node_key, S and N their keys
+        (_SCALAR_KEY, _NODES_KEY). _Builder keeps the position terms; s and
+        m are taken here.
+
+        Collisions: two states with different canonical keys differ in the
+        view at some position, counting the scalar and node parts as two
+        more. If their digests differ at one position only, the fingerprints
+        differ by a key times a digest difference, two nonzero integers with
+        no modulus to wrap, so the difference never cancels. If they differ
+        at several, then for fixed digests at most one of the 2^128 values
+        of one key cancels it: a chance of at most 2^-128. What is left is a
+        64-bit hash() collision between two views at the same position. No
+        view holds a str, whose hash is salted per process, or a field that
+        can be both -1 and -2, which hash alike."""
         th = self._th_sym if sym else self._th_plain
-        return (h128(self.clock, self.queue_head, self.extra, self.counters,
-                     self.namenode_on, self.jobtracker_on,
-                     _node_key(self, sym)) + th + self._jh) % _M
+        return (th + self._jh + _SCALAR_KEY * hash(_scalar_key(self))
+                + _NODES_KEY * hash(_node_key(self, sym)))
 
     def is_terminal(self) -> bool:
         return next(iter_transitions(self), None) is None
 
 
 def canonical_key(state: GlobalState, sym: bool) -> tuple:
-    """Structural state identity (hash-free, collision-free); with sym=True
-    the key is invariant under permutations of anonymous nodes and of slots
-    within a node. Meant for small models and cross-checks, not for the
-    explorer's visited set. Records are listed in position order, so
-    untouched tasks and jobs appear with their default record."""
+    """Structural state identity (hash-free, collision-free): the scalar
+    part, the task and job records in position order, and the node part,
+    each the very view that fingerprint digests. With sym=True the key is
+    invariant under permutations of anonymous nodes and of slots within a
+    node. Meant for small models and cross-checks, not for the explorer's
+    visited set. Untouched tasks and jobs appear with their default
+    record."""
     st = state.statics
     tasks = table_records(state.tasks, st.workload)
     if sym:
         named = st.named_nodes
         tasks = [_sym_rt(rt, named) for rt in tasks]
     jobs = table_records(state.jobs, len(st.job_ids))
-    return (state.clock, state.queue_head, state.extra, state.namenode_on,
-            state.jobtracker_on, state.counters, tuple(tasks), tuple(jobs),
+    return (_scalar_key(state), tuple(tasks), tuple(jobs),
             _node_key(state, sym))
 
 
+def _scalar_key(state: GlobalState) -> tuple:
+    """The clock, queue, counters and master flags of the state key. A
+    pending speculative entry is read as its task's position, which fixes
+    the entry's code and job."""
+    idx_of = state.statics.idx_of
+    return (state.clock, state.queue_head,
+            tuple(idx_of[e[2]] for e in state.extra), state.counters,
+            state.namenode_on, state.jobtracker_on)
+
+
 def _node_key(state: GlobalState, sym: bool) -> tuple:
-    """The nodes part of the state key. With sym, a named node keeps its
-    index and the multiset of its occupants; an anonymous node reduces to
-    its on flag and the multiset of its occupants' kinds, and the node
-    parts are sorted."""
+    """The nodes part of the state key. A slot's occupant reads as an int:
+    -1 free, p the task at position p, n + p its speculative copy (n
+    tasks). Plain, the part is the nodes' on flags and every slot in order.
+    With sym, a named node keeps its place in index order, with its on flag
+    and its sorted occupants; an anonymous node reduces to its on flag and
+    the sorted classes of its slots (0 free, else the occupant's queue
+    code: its kind, + 2 for a copy), and the anonymous parts are sorted."""
+    st = state.statics
+    idx_of, n = st.idx_of, st.workload
+    nodes = state.nodes
+    occ = [-1 if o is None else
+           n + idx_of[o[1]] if isinstance(o, tuple) else idx_of[o]
+           for node in nodes for o in node.slots]
     if not sym:
-        return state.nodes
-    named = state.statics.named_nodes
-    kind = state.statics.kind
-    node_parts = []
-    for i, node in enumerate(state.nodes):
+        return tuple([node.on for node in nodes]), tuple(occ)
+    k = state.config.slots_per_node
+    named, queue = st.named_nodes, st.queue
+    named_parts, anon_parts = [], []
+    for i, node in enumerate(nodes):
+        here = sorted(occ[i * k:i * k + k])
         if i in named:
-            node_parts.append(
-                ("n", i, node.on,
-                 tuple(sorted(repr(o) for o in node.slots if o is not None))))
+            named_parts.append((node.on, tuple(here)))
         else:
-            classes = tuple(sorted(
-                (kind[o[1]] + 2) if isinstance(o, tuple) else kind[o]
-                for o in node.slots if o is not None))
-            node_parts.append(("a", node.on, classes))
-    return tuple(sorted(node_parts, key=repr))
+            anon_parts.append((node.on, tuple(sorted([
+                0 if o < 0 else queue[o][0] if o < n else queue[o - n][0] + 2
+                for o in here]))))
+    anon_parts.sort()
+    return tuple(named_parts), tuple(anon_parts)
 
 
-def _sym_rt(rt: TaskRT, named: frozenset) -> TaskRT:
-    node = rt.node if rt.node in named else (-2 if rt.node >= 0 else -1)
-    copies = tuple(sorted(
-        (c[0] if c[0] in named else -2, -2, c[2]) for c in rt.copies))
-    return rt._replace(node=node, slot=(-2 if rt.slot >= 0 else -1),
-                       copies=copies)
+# A task on an anonymous node reads _ANON in the symmetric view. Not -2:
+# hash(-1) == hash(-2) in CPython, and -1 already means "not placed".
+_ANON = -3
 
 
-def _task_hashes(tid, rt, named) -> tuple:
-    return (h128("t", tid, _sym_rt(rt, named)), h128("t", tid, rt))
+def _sym_rt(rt: TaskRT, named: frozenset) -> tuple:
+    """The task record under symmetry, as an int tuple: an anonymous node
+    reads _ANON; the slot is dropped, since slots within a node are
+    interchangeable and a task holds a slot exactly when it holds a node;
+    the copies become their sorted (node, start) pairs, an anonymous node
+    again read as _ANON."""
+    phase, start, finish, node, _slot, local, cause, spec, copies, dl = rt
+    if node >= 0 and node not in named:
+        node = _ANON
+    if copies:
+        copies = tuple(sorted((c if c in named else _ANON, cs)
+                              for c, _ck, cs in copies))
+    return (phase, start, finish, node, local, cause, spec, copies, dl)
 
 
 # --------------------------------------------------------------------------
 # State construction / mutation
 
 class _Builder:
-    """Accumulates one transition's changes and produces the new state,
-    keeping the incremental hash accumulators consistent."""
+    """Accumulates one transition's changes and produces the new state.
+
+    It keeps the task and job terms of the fingerprint sum (see
+    GlobalState.fingerprint) exact: writing position i adds K_i times the
+    change of its digest, in the plain and the symmetric accumulator for a
+    task and in the one job accumulator for a job."""
 
     def __init__(self, state: GlobalState):
         self.src = state
@@ -404,21 +491,21 @@ class _Builder:
     def set_task(self, i: int, rt: TaskRT):
         """Set the record of the task at position i."""
         st = self.src.statics
-        tid = st.tids[i]
         old = table_get(self.tasks, i)
         if old.phase != rt.phase:
-            self.changed.append((tid, old.phase, rt.phase))
-        hs_old, hp_old = _task_hashes(tid, old, st.named_nodes)
-        hs_new, hp_new = _task_hashes(tid, rt, st.named_nodes)
-        self.th_sym = (self.th_sym - hs_old + hs_new) % _M
-        self.th_plain = (self.th_plain - hp_old + hp_new) % _M
+            self.changed.append((st.tids[i], old.phase, rt.phase))
+        key, named = st.keys[i] or st.key(i), st.named_nodes
+        self.th_plain += key * (hash(rt) - hash(old))
+        self.th_sym += key * (hash(_sym_rt(rt, named))
+                              - hash(_sym_rt(old, named)))
         self.tasks = table_set(self.tasks, i, rt)
 
     def set_job(self, i: int, rt: JobRT):
         """Set the record of the job at position i."""
-        jid = self.src.statics.job_ids[i]
+        st = self.src.statics
+        k = st.workload + i
         old = table_get(self.jobs, i)
-        self.jh = (self.jh - h128("j", jid, old) + h128("j", jid, rt)) % _M
+        self.jh += (st.keys[k] or st.key(k)) * (hash(rt) - hash(old))
         self.jobs = table_set(self.jobs, i, rt)
 
     def add_extra(self, entry):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from fixtures import FIXTURES, mk_trace, rec
@@ -112,6 +114,21 @@ class TestVerify:
         result = verify(init, GoalExpr("never", (Atom("failurerate", ">", 50.0),)),
                         strategy="dfs", time_budget_s=1e-9)
         assert result.verdict in ("unknown", "unreachable")
+
+    def test_time_budget_checked_at_duplicate_checkpoints(self, monkeypatch):
+        """The deadline is read every 2,048 transitions, duplicates
+        included: a clock past the deadline after its first read must stop
+        the search at the first checkpoint."""
+        import schedcheck.checker as checker_mod
+        reads = iter([0.0])
+        clock = SimpleNamespace(monotonic=lambda: next(reads, 1e9))
+        monkeypatch.setattr(checker_mod, "time", clock)
+        never = GoalExpr("never", (Atom("workload", "<", 0.0),))
+        result = verify(build("speculative_copy"), never, strategy="dfs",
+                        time_budget_s=1.0)
+        assert result.verdict == "unknown"
+        assert "time budget" in result.reason
+        assert result.transitions <= 2048
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):

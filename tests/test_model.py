@@ -1,8 +1,13 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fixtures import FIXTURES, mk_trace, rec
+from fixtures import FIXTURES, mk_trace, random_workload, rec
 
 from schedcheck.config import ClusterConfig
 from schedcheck.errors import EmptyWorkload
@@ -10,9 +15,10 @@ from schedcheck.model import (CAUSE_CASCADE, CAUSE_NAMES, CAUSE_QUEUEWAIT,
                               CAUSE_SPECULATIVE, CAUSE_TIMEOUT, FAILED,
                               FINISHED_AFTER_DEADLINE,
                               FINISHED_WITHIN_DEADLINE, PROCESSED, SCHEDULED,
-                              SUBMITTED, WAITING_RESOURCES, build_cluster,
-                              canonical_key, iter_transitions, replay,
-                              terminal_summary, wait_for_graph)
+                              SUBMITTED, WAITING_RESOURCES, TaskRT, _Builder,
+                              _sym_rt, build_cluster, canonical_key,
+                              iter_transitions, replay, terminal_summary,
+                              wait_for_graph)
 
 
 def first_run(state, limit=100_000):
@@ -362,6 +368,104 @@ class TestPhasesAndSymmetry:
                 stack.append(t.state)
         fps = list(seen_keys.values())
         assert len(set(fps)) == len(fps)  # no collisions on this space
+
+
+class TestFingerprints:
+    # Fields that read -1 while unset, against every value the model writes
+    # there. A task holds a slot exactly when it holds a node, so the two
+    # move together; with node 0 named, node 1 is anonymous.
+    @pytest.mark.parametrize("fields,values", [
+        (("start",), [(0,), (10,), (1_000,)]),
+        (("finish",), [(0,), (10,), (1_000,)]),
+        (("local",), [(0,), (1,)]),
+        (("node", "slot"), [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    ])
+    def test_unset_field_digests_differ(self, fields, values):
+        """CPython hashes -1 and -2 alike, so no view may use both: a record
+        with a field unset must digest apart from one with it set."""
+        named = frozenset({0})
+        unset = TaskRT(phase=FAILED, cause=CAUSE_CASCADE)
+        for vals in values:
+            other = unset._replace(**dict(zip(fields, vals)))
+            assert hash(other) != hash(unset), (fields, vals)
+            assert hash(_sym_rt(other, named)) != \
+                hash(_sym_rt(unset, named)), (fields, vals)
+
+    def test_cascade_failed_queued_task_is_not_merged(self):
+        """Two states apart only in where a cascade-failed task sat: still
+        queued, or on an anonymous node. Neither fingerprint may merge
+        them."""
+        init = build("timeout_cascade")
+        i = init.statics.idx_of["late"]
+        seen, stack = set(), [init]
+        while stack:
+            state = stack.pop()
+            rt = state.task("late")
+            if rt.cause == CAUSE_CASCADE and rt.node < 0:
+                break
+            for t in iter_transitions(state):
+                key = canonical_key(t.state, sym=False)
+                if key not in seen:
+                    seen.add(key)
+                    stack.append(t.state)
+        else:
+            raise AssertionError("no queued task failed by cascade")
+        assert not init.statics.named_nodes
+        b = _Builder(state)
+        b.set_task(i, rt._replace(node=1, slot=0))
+        placed = b._build()
+        for sym in (False, True):
+            assert canonical_key(state, sym) != canonical_key(placed, sym)
+            assert state.fingerprint(sym) != placed.fingerprint(sym)
+
+    def test_fingerprint_and_canonical_key_correspond_on_random_walks(self):
+        """Over random walks on random workloads, every walk state and
+        successor: equal keys give equal fingerprints and equal fingerprints
+        equal keys, with and without symmetry."""
+        rng = random.Random(20)
+        for _ in range(60):
+            init = build_cluster(*random_workload(rng))
+            fp_of = ({}, {})   # per sym: key -> fingerprint
+            key_of = ({}, {})  # per sym: fingerprint -> key
+            for _walk in range(5):
+                state = init
+                while state is not None:
+                    succs = [t.state for t in iter_transitions(state)]
+                    for s in [state] + succs:
+                        for sym in (False, True):
+                            key, fp = canonical_key(s, sym), s.fingerprint(sym)
+                            assert fp_of[sym].setdefault(key, fp) == fp
+                            assert key_of[sym].setdefault(fp, key) == key
+                    state = rng.choice(succs) if succs else None
+
+    def test_fingerprints_do_not_depend_on_the_hash_seed(self):
+        """str hashes are salted per process, and a larger model built first
+        draws longer key bytes: the same walk under two hash seeds, the
+        second after a larger model, must give the same fingerprints."""
+        script = (
+            "import sys\n"
+            "from fixtures import FIXTURES, mk_trace, rec\n"
+            "from schedcheck.config import ClusterConfig\n"
+            "from schedcheck.model import build_cluster, iter_transitions\n"
+            "if sys.argv[1:]:\n"
+            "    build_cluster(ClusterConfig(), mk_trace(\n"
+            "        [rec(f'm{i}', f'j{i}', 'map', 0, 1) for i in range(5000)]))\n"
+            "fx = FIXTURES['map_reduce_gate']\n"
+            "state = build_cluster(fx.config, fx.trace)\n"
+            "while state is not None:\n"
+            "    succs = [t.state for t in iter_transitions(state)]\n"
+            "    print(*(s.fingerprint(sym) for s in [state] + succs\n"
+            "            for sym in (False, True)))\n"
+            "    state = succs[-1] if succs else None\n")
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        outs = [subprocess.run(
+            [sys.executable, "-c", script, *args], capture_output=True,
+            text=True, check=True, timeout=120,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)).stdout
+            for seed, args in (("0", []), ("1", ["larger-model-first"]))]
+        assert outs[0].count("\n") > 5
+        assert outs[0] == outs[1]
 
 
 class TestWitnessReplay:
