@@ -5,6 +5,13 @@ on the full state, `dfs-sym` on a canonical form that treats nodes no task
 prefers (and slots within a node) as interchangeable, which is sound because
 such nodes are behaviourally identical.
 
+The search stack has one two-slot entry per state of the current path:
+that state's successor iterator and the first transition drawn from it (to
+tell a dead end), cleared once taken. An iterator drops its state as it
+hands out its last transition, so the stack keeps alive only the path
+states that still have untried successors, and the witness path keeps one
+StepRecord per step.
+
 Properties come from a small assertion language:
 
     #define goal0 completedscheduled == workload && workload > 0;
@@ -26,7 +33,6 @@ import operator
 import re
 import time
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 from .errors import PropertySyntaxError, UnknownTask
@@ -170,7 +176,16 @@ def _explore(initial: GlobalState, strategy: str, state_budget: int,
     """First-witness DFS. `found(state, is_terminal)` returns truthy when the
     target is hit. `verdicts` names the outcome as (hit, no hit): the first
     hit gives verdicts[0] and its witness, a search that runs to the end
-    verdicts[1], and a spent budget "unknown"."""
+    verdicts[1], and a spent budget "unknown", with a reason that names the
+    depth and clock of the state being expanded.
+
+    A stack entry is [first, successors] for one state of the path: the
+    successors iterator of that state, from iter_transitions, and the
+    first transition it gave, drawn early to learn whether the state is a
+    dead end, or None once it is taken. The entry keeps its state alive
+    only through the iterator, which drops it with its last transition.
+    Every transition is drawn through this module's iter_transitions with
+    next() alone, so a tracer may rebind that name to any iterator."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
     sym = strategy == "dfs-sym"
@@ -178,6 +193,7 @@ def _explore(initial: GlobalState, strategy: str, state_budget: int,
     deadline = t0 + time_budget_s if time_budget_s else None
     visited = {initial.fingerprint(sym)}
     n_trans = 0
+    path: list = []
 
     def result(verdict, hit=None, path=(), reason=""):
         elapsed = time.monotonic() - t0
@@ -185,31 +201,40 @@ def _explore(initial: GlobalState, strategy: str, state_budget: int,
         return VerificationResult(verdict, len(visited), n_trans, elapsed,
                                   strategy, witness, reason)
 
+    def spent(budget):
+        clock = path[-1].clock_ms if path else initial.clock
+        return result("unknown", reason=f"{budget} budget exhausted at depth "
+                                        f"{len(path)}, clock_ms {clock}")
+
     if found(initial, initial.is_terminal()):
         return result(verdicts[0], initial)
 
-    stack = [iter_transitions(initial)]  # untried successors along the path
-    path: list = []
+    stack = [[None, iter_transitions(initial)]]
     check_every = 2048
     while stack:
-        t = next(stack[-1], None)
+        entry = stack[-1]
+        t = entry[0]
         if t is None:
-            stack.pop()
-            if path:
-                path.pop()
-            continue
+            t = next(entry[1], None)
+            if t is None:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+        else:
+            entry[0] = None
         n_trans += 1
         # ahead of the visited lookup, so a duplicate cannot skip a check
         if deadline is not None and n_trans % check_every == 0 and \
                 time.monotonic() > deadline:
-            return result("unknown", reason="time budget exhausted")
+            return spent("time")
         succ = t.state
         fp = succ.fingerprint(sym)
         if fp in visited:
             continue
         visited.add(fp)
         if len(visited) > state_budget:
-            return result("unknown", reason="state budget exhausted")
+            return spent("state")
         succ_it = iter_transitions(succ)
         first = next(succ_it, None)
         terminal = first is None
@@ -220,7 +245,7 @@ def _explore(initial: GlobalState, strategy: str, state_budget: int,
         if terminal:
             path.pop()
             continue
-        stack.append(chain((first,), succ_it))
+        stack.append([first, succ_it])
     return result(verdicts[1])
 
 

@@ -2,10 +2,17 @@
 queue, task execution with data locality, speculative copies, deadlines,
 timeouts and failure cascades.
 
-States are immutable values; every step operation produces new states, so
+States are immutable values; every transition produces a new state, so
 exploration may share them freely. Logical time advances only at completion
 transitions, jumping to the earliest finish time among running tasks; queue
 wait is measured as start - submit.
+
+A state's successors are listed as moves: enabled_moves gives each enabled
+transition as a (build, arg) pair, in the fixed exploration order, without
+building any, and build(state, arg) makes the Transition. iter_transitions
+builds them one per next() and lets go of the state with the last one, so a
+search that keeps an iterator per path state keeps no half-run step code,
+and no state whose moves are all taken.
 
 A state's fingerprint is a Zobrist-style sum (Zobrist 1970; the idea behind
 SPIN and TLC fingerprints): every task and job position has a fixed random
@@ -141,6 +148,9 @@ class Counters(NamedTuple):
     n_served_fair: int = 0     # started with wait <= fairness_wait_ms
     n_deadlock: int = 0        # sticky deadlock flags set
     free_slots: int = 0
+
+
+_COUNTER_AT = {field: i for i, field in enumerate(Counters._fields)}
 
 
 # Fingerprint keys are drawn from random.Random(_KEY_SEED), 16 bytes a key;
@@ -377,7 +387,7 @@ class GlobalState:
                 + _NODES_KEY * hash(_node_key(self, sym)))
 
     def is_terminal(self) -> bool:
-        return next(iter_transitions(self), None) is None
+        return not enabled_moves(self)
 
 
 def canonical_key(state: GlobalState, sym: bool) -> tuple:
@@ -520,8 +530,10 @@ class _Builder:
         self.nodes[node_i] = NodeRT(node.on, tuple(slots))
 
     def bump(self, **deltas):
-        self.counters = self.counters._replace(
-            **{k: getattr(self.counters, k) + v for k, v in deltas.items()})
+        c = list(self.counters)
+        for field, delta in deltas.items():
+            c[_COUNTER_AT[field]] += delta
+        self.counters = tuple.__new__(Counters, c)
 
     def finish(self) -> GlobalState:
         # advance past consumed entries so scans stay O(window)
@@ -562,100 +574,125 @@ def build_cluster(config: ClusterConfig, workload: WorkloadTrace) -> GlobalState
 
 
 # --------------------------------------------------------------------------
-# Step operations
+# Moves: (build, arg) pairs; build(state, arg) makes the move's Transition
 
-def activate_steps(state: GlobalState):
-    """NameNode/JobTracker activation; TaskTrackers only after JobTracker."""
+def enabled_moves(state: GlobalState) -> list:
+    """The enabled moves in the fixed exploration order: NameNode and
+    JobTracker activation, TaskTracker activation once the JobTracker is
+    up; then one assignment of the policy-chosen entry to each switched-on
+    node with a free slot; then the execution of each scheduled task whose
+    gate is open; then the completion of the earliest-finishing task."""
+    moves = []
     if not state.namenode_on:
-        b = _Builder(state)
-        b.namenode_on = True
-        yield Transition(Event("activate_nn"), b.finish(), ())
+        moves.append((_activate_nn, None))
     if not state.jobtracker_on:
-        b = _Builder(state)
-        b.jobtracker_on = True
-        yield Transition(Event("activate_jt"), b.finish(), ())
-    if state.jobtracker_on:
-        for i, node in enumerate(state.nodes):
-            if node.on:
-                continue
-            b = _Builder(state)
-            b.nodes[i] = NodeRT(True, node.slots)
-            b.bump(trackercount=1, free_slots=len(node.slots))
-            yield Transition(Event(f"activate_tt.{i}"), b.finish(), ())
-
-
-def scheduler_step(state: GlobalState):
-    """One transition per free-slot node assigning the policy-chosen entry."""
-    if not state.jobtracker_on or state.counters.free_slots == 0:
-        return
-    qpos = policies.select(state.config.scheduler,
-                           state.eligible_entries(), state)
-    if qpos is None:
-        return
-    base = state.statics.queue
-    if qpos < len(base):
-        code, jid, tid = base[qpos]
+        moves.append((_activate_jt, None))
     else:
-        code, jid, tid = state.extra[qpos - len(base)]
-    for i, node in enumerate(state.nodes):
-        if not node.on:
-            continue
-        try:
-            k = node.slots.index(None)
-        except ValueError:
-            continue
-        b = _Builder(state)
-        if code in (CODE_MAP, CODE_REDUCE):
-            # a base entry's queue index is its task's position
-            rt = table_get(state.tasks, qpos)
-            b.set_task(qpos, rt._replace(phase=SCHEDULED, node=i, slot=k))
-            b.set_slot(i, k, tid)
-            pending = list(state.sched_pending)
-            insort(pending, tid)
-            b.sched_pending = tuple(pending)
-            b.bump(n_scheduled=1, free_slots=-1)
-            yield Transition(Event(f"assign.{tid}.{i}"), b.finish(),
-                             tuple(b.changed))
-        else:
-            ti = state.statics.idx_of[tid]
-            rt = table_get(state.tasks, ti)
-            k_extra = qpos - len(base)
-            b.extra = state.extra[:k_extra] + state.extra[k_extra + 1:]
-            b.set_task(ti, rt._replace(copies=rt.copies + ((i, k, state.clock),)))
-            b.set_slot(i, k, ("c", tid))
-            b.bump(free_slots=-1)
-            yield Transition(Event(f"assign_spec.{tid}.{i}"), b.finish(),
-                             tuple(b.changed))
-
-
-def execute_step(state: GlobalState):
-    """Scheduled -> Processed; locality counted against the preferred node;
-    reduces execute only once every sibling map has finished."""
-    cfg = state.config
+        nodes = state.nodes
+        for i, node in enumerate(nodes):
+            if not node.on:
+                moves.append((_activate_tt, i))
+        if state.counters.free_slots:
+            qpos = policies.select(state.config.scheduler,
+                                   state.eligible_entries(), state)
+            if qpos is not None:
+                # base entries come first in the queue, then speculative
+                assign = (_assign if qpos < state.statics.workload
+                          else _assign_spec)
+                for i, node in enumerate(nodes):
+                    if node.on and None in node.slots:
+                        moves.append((assign, (qpos, i)))
     st = state.statics
     for tid in state.sched_pending:
-        ti = st.idx_of[tid]
-        rt = table_get(state.tasks, ti)
         jid = st.job_of[tid]
-        if st.kind[tid] == CODE_REDUCE and \
-                state.job(jid).fin_maps < st.total_maps[jid]:
-            continue
-        start = max(state.clock, st.submit[tid])
-        end = start + min(st.duration[tid], cfg.task_timeout_ms)
-        pref = st.preferred[tid]
-        local = 1 if (pref is None or pref == rt.node) else 0
-        b = _Builder(state)
-        b.set_task(ti, rt._replace(phase=PROCESSED, start=start, local=local))
-        b.sched_pending = tuple(t for t in state.sched_pending if t != tid)
-        running = list(state.running)
-        insort(running, (end, tid))
-        b.running = tuple(running)
-        b.bump(completedscheduled=1, locality=local, nonlocality=1 - local,
-               n_served_fair=1 if start - st.submit[tid] <= cfg.fairness_wait_ms else 0)
-        yield Transition(Event(f"execute.{tid}"), b.finish(), tuple(b.changed))
+        # reduces execute only once every sibling map has finished
+        if st.kind[tid] != CODE_REDUCE or \
+                state.job(jid).fin_maps >= st.total_maps[jid]:
+            moves.append((_execute, tid))
+    if state.running:
+        moves.append((_complete, None))
+    return moves
 
 
-def _free_task_slots(b: _Builder, rt: TaskRT, state: GlobalState):
+def _activate_nn(state: GlobalState, _arg) -> Transition:
+    b = _Builder(state)
+    b.namenode_on = True
+    return Transition(Event("activate_nn"), b.finish(), ())
+
+
+def _activate_jt(state: GlobalState, _arg) -> Transition:
+    b = _Builder(state)
+    b.jobtracker_on = True
+    return Transition(Event("activate_jt"), b.finish(), ())
+
+
+def _activate_tt(state: GlobalState, i: int) -> Transition:
+    b = _Builder(state)
+    slots = state.nodes[i].slots
+    b.nodes[i] = NodeRT(True, slots)
+    b.bump(trackercount=1, free_slots=len(slots))
+    return Transition(Event(f"activate_tt.{i}"), b.finish(), ())
+
+
+def _assign(state: GlobalState, arg) -> Transition:
+    """The base entry at qpos to the first free slot of node i. A base
+    entry's queue index is its task's position."""
+    qpos, i = arg
+    tid = state.statics.tids[qpos]
+    k = state.nodes[i].slots.index(None)
+    b = _Builder(state)
+    rt = table_get(state.tasks, qpos)
+    b.set_task(qpos, rt._replace(phase=SCHEDULED, node=i, slot=k))
+    b.set_slot(i, k, tid)
+    pending = list(state.sched_pending)
+    insort(pending, tid)
+    b.sched_pending = tuple(pending)
+    b.bump(n_scheduled=1, free_slots=-1)
+    return Transition(Event(f"assign.{tid}.{i}"), b.finish(), tuple(b.changed))
+
+
+def _assign_spec(state: GlobalState, arg) -> Transition:
+    """The speculative entry at qpos, a copy of a running task, to the
+    first free slot of node i."""
+    qpos, i = arg
+    st = state.statics
+    k_extra = qpos - st.workload
+    tid = state.extra[k_extra][2]
+    ti = st.idx_of[tid]
+    k = state.nodes[i].slots.index(None)
+    b = _Builder(state)
+    rt = table_get(state.tasks, ti)
+    b.extra = state.extra[:k_extra] + state.extra[k_extra + 1:]
+    b.set_task(ti, rt._replace(copies=rt.copies + ((i, k, state.clock),)))
+    b.set_slot(i, k, ("c", tid))
+    b.bump(free_slots=-1)
+    return Transition(Event(f"assign_spec.{tid}.{i}"), b.finish(),
+                      tuple(b.changed))
+
+
+def _execute(state: GlobalState, tid) -> Transition:
+    """Scheduled -> Processed; locality counted against the preferred
+    node."""
+    cfg = state.config
+    st = state.statics
+    ti = st.idx_of[tid]
+    rt = table_get(state.tasks, ti)
+    start = max(state.clock, st.submit[tid])
+    end = start + min(st.duration[tid], cfg.task_timeout_ms)
+    pref = st.preferred[tid]
+    local = 1 if (pref is None or pref == rt.node) else 0
+    b = _Builder(state)
+    b.set_task(ti, rt._replace(phase=PROCESSED, start=start, local=local))
+    b.sched_pending = tuple(t for t in state.sched_pending if t != tid)
+    running = list(state.running)
+    insort(running, (end, tid))
+    b.running = tuple(running)
+    b.bump(completedscheduled=1, locality=local, nonlocality=1 - local,
+           n_served_fair=1 if start - st.submit[tid] <= cfg.fairness_wait_ms else 0)
+    return Transition(Event(f"execute.{tid}"), b.finish(), tuple(b.changed))
+
+
+def _free_task_slots(b: _Builder, rt: TaskRT):
     freed = 0
     if rt.phase == PROCESSED or rt.phase == SCHEDULED:
         if rt.node >= 0 and b.nodes[rt.node].slots[rt.slot] is not None:
@@ -668,10 +705,10 @@ def _free_task_slots(b: _Builder, rt: TaskRT, state: GlobalState):
     return freed
 
 
-def _cascade(b: _Builder, state: GlobalState, jid: str, skip: int):
+def _cascade(b: _Builder, jid: str, skip: int):
     """A failed map fails its job; all not-yet-finished sibling tasks fail.
     `skip` is the failed map's position."""
-    st = state.statics
+    st = b.src.statics
     for i in st.job_tasks[jid]:
         if i == skip:
             continue
@@ -679,7 +716,7 @@ def _cascade(b: _Builder, state: GlobalState, jid: str, skip: int):
         if rt.phase in (FINISHED_WITHIN_DEADLINE, FINISHED_AFTER_DEADLINE, FAILED):
             continue
         tid = st.tids[i]
-        freed = _free_task_slots(b, rt, state)
+        freed = _free_task_slots(b, rt)
         if rt.phase == SCHEDULED:
             b.sched_pending = tuple(t for t in b.sched_pending if t != tid)
         elif rt.phase == PROCESSED:
@@ -691,14 +728,14 @@ def _cascade(b: _Builder, state: GlobalState, jid: str, skip: int):
     b.extra = tuple(e for e in b.extra if e[1] != jid)
 
 
-def _speculation_scan(b: _Builder, state: GlobalState):
+def _speculation_scan(b: _Builder):
     """Enqueue speculative copies for stragglers: elapsed beyond
     speculation_factor times the mean duration of finished siblings of the
     same kind. No sibling estimate means no speculation."""
-    cfg = state.config
+    cfg = b.src.config
     if cfg.max_speculative == 0:
         return
-    st = state.statics
+    st = b.src.statics
     for _end, tid in b.running:
         i = st.idx_of[tid]
         rt = b.tasks[i >> 10][(i >> 5) & 31][i & 31]
@@ -720,11 +757,9 @@ def _speculation_scan(b: _Builder, state: GlobalState):
             b.set_task(i, rt._replace(spec_count=rt.spec_count + 1))
 
 
-def complete_or_fail_step(state: GlobalState):
+def _complete(state: GlobalState, _arg) -> Transition:
     """The earliest-finishing running task resolves; the clock jumps to its
     finish time. Deterministic: ties broken by task id."""
-    if not state.running:
-        return
     end, tid = state.running[0]
     st = state.statics
     cfg = state.config
@@ -735,7 +770,7 @@ def complete_or_fail_step(state: GlobalState):
     b = _Builder(state)
     b.clock = end
     b.running = state.running[1:]
-    freed = _free_task_slots(b, rt, state)
+    freed = _free_task_slots(b, rt)
     b.bump(free_slots=freed)
 
     if dur > cfg.task_timeout_ms:
@@ -753,7 +788,7 @@ def complete_or_fail_step(state: GlobalState):
             job = table_get(b.jobs, ji)
             if not job.failed:
                 b.set_job(ji, job._replace(failed=1))
-            _cascade(b, state, jid, ti)
+            _cascade(b, jid, ti)
     else:
         if end <= st.deadline[tid]:
             phase = FINISHED_WITHIN_DEADLINE
@@ -770,17 +805,43 @@ def complete_or_fail_step(state: GlobalState):
             b.set_job(ji, job._replace(fin_reds=job.fin_reds + 1,
                                        fin_red_dur=job.fin_red_dur + dur))
         event = Event(f"complete.{tid}")
-    _speculation_scan(b, state)
-    yield Transition(event, b.finish(), tuple(b.changed))
+    _speculation_scan(b)
+    return Transition(event, b.finish(), tuple(b.changed))
 
 
-def iter_transitions(state: GlobalState):
-    """All enabled transitions, in the fixed exploration order: activation,
-    scheduling, execution, completion."""
-    yield from activate_steps(state)
-    yield from scheduler_step(state)
-    yield from execute_step(state)
-    yield from complete_or_fail_step(state)
+class _Transitions:
+    """The iterator of iter_transitions. It lists the moves on the first
+    next() and builds one transition a call; as it hands out the last one
+    it lets go of the state, so a search stack entry whose moves are all
+    taken keeps nothing alive."""
+    __slots__ = ("state", "moves")
+
+    def __init__(self, state: GlobalState):
+        self.state = state
+        self.moves = None  # listed, last move first, on the first next()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> Transition:
+        moves = self.moves
+        if moves is None:
+            moves = self.moves = enabled_moves(self.state)
+            moves.reverse()
+        if not moves:
+            self.state = None
+            raise StopIteration
+        build, arg = moves.pop()
+        state = self.state
+        if not moves:
+            self.state = None
+        return build(state, arg)
+
+
+def iter_transitions(state: GlobalState) -> _Transitions:
+    """All enabled transitions, in the order of enabled_moves, each built
+    when it is drawn."""
+    return _Transitions(state)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-from types import SimpleNamespace
+import gc
+import re
+from types import GeneratorType, SimpleNamespace
 
 import pytest
 
@@ -6,12 +8,15 @@ from fixtures import FIXTURES, mk_trace, rec
 
 import oracle
 
+import schedcheck.checker as checker_mod
+import schedcheck.model as model_mod
 from schedcheck.checker import (Atom, GoalExpr, TaskAssertion,
                                 parse_properties, verify, verify_assertion)
 from schedcheck.config import ClusterConfig
 from schedcheck.errors import PropertySyntaxError, UnknownTask
-from schedcheck.model import (PHASE_BY_NAME, build_cluster, canonical_key,
-                              iter_transitions, replay)
+from schedcheck.model import (PHASE_BY_NAME, GlobalState, build_cluster,
+                              canonical_key, iter_transitions, replay)
+from schedcheck.trace import GeneratorSpec, synthesize
 
 GOAL0 = GoalExpr("goal0", (Atom("completedscheduled", "==", "workload"),
                            Atom("workload", ">", 0.0)))
@@ -109,6 +114,24 @@ class TestVerify:
         assert result.verdict == "unknown"
         assert "state budget" in result.reason
 
+    def test_budget_reason_says_how_far_the_run_got(self):
+        """A spent state budget names the depth and clock of the state
+        being expanded. The model is acyclic, so a first-successor chain
+        never meets a visited state, and a budget of b states, the initial
+        one included, stops the search as it expands the chain's state at
+        depth b - 1."""
+        init = build("speculative_copy")
+        chain = [init]
+        while (t := next(iter_transitions(chain[-1]), None)) is not None:
+            chain.append(t.state)
+        depth = next(d for d, s in enumerate(chain) if s.clock > 0)
+        assert depth + 1 < len(chain)
+        never = GoalExpr("never", (Atom("workload", "<", 0.0),))
+        result = verify(init, never, strategy="dfs", state_budget=depth + 1)
+        assert result.verdict == "unknown"
+        assert result.reason == (f"state budget exhausted at depth {depth}, "
+                                 f"clock_ms {chain[depth].clock}")
+
     def test_time_budget_yields_unknown(self):
         init = build("three_anon_nodes")
         result = verify(init, GoalExpr("never", (Atom("failurerate", ">", 50.0),)),
@@ -128,6 +151,8 @@ class TestVerify:
                         time_budget_s=1.0)
         assert result.verdict == "unknown"
         assert "time budget" in result.reason
+        assert re.fullmatch(r"time budget exhausted at depth \d+, "
+                            r"clock_ms \d+", result.reason)
         assert result.transitions <= 2048
 
     def test_unknown_strategy_rejected(self):
@@ -226,3 +251,74 @@ class TestAssertions:
         res = verify_assertion(build_cluster(config, trace), never_scheduled,
                                strategy=strategy)
         assert res.verdict == "holds", [s.event for s in res.witness.steps]
+
+
+class TestSearchStack:
+    def test_goal_hit_retains_no_step_frames(self):
+        """At the goal hit of a deep first-witness search, the stack holds
+        no transition builder and no suspended step generator, and not
+        every state of the path."""
+        n = 2_000
+        trace = synthesize(GeneratorSpec(n_tasks=n, node_count=8), seed=1)
+        init = build_cluster(ClusterConfig(node_count=8, slots_per_node=2),
+                             trace)
+        goal = GoalExpr("half", (Atom("completedscheduled", ">=", n / 2),))
+        census = {}
+
+        class Census:
+            def holds(self, state):
+                if not goal.holds(state):
+                    return False
+                live = gc.get_objects()
+                census["builders"] = sum(
+                    type(o).__name__ == "_Builder" for o in live)
+                census["generators"] = sum(
+                    isinstance(o, GeneratorType)
+                    and o.gi_code.co_filename == model_mod.__file__
+                    for o in live)
+                census["states"] = sum(isinstance(o, GlobalState)
+                                       for o in live)
+                return True
+
+        result = verify(init, Census(), strategy="dfs-sym")
+        assert result.verdict == "reachable"
+        steps = len(result.witness.steps)
+        assert steps > 1_000
+        assert census["builders"] == 0, census
+        assert census["generators"] == 0, census
+        assert census["states"] < steps, (census, steps)
+
+
+class TestTracerContract:
+    """The explorer draws every transition through the module name
+    `checker.iter_transitions` with next() alone, so a tracer may rebind
+    that name to a plain generator and see every transition."""
+
+    @pytest.mark.parametrize("strategy", ["dfs", "dfs-sym"])
+    @pytest.mark.parametrize("name", ["map_reduce_gate", "speculative_copy",
+                                      "timeout_cascade", "deadlock_cycle"])
+    def test_generator_wrapper_changes_nothing(self, monkeypatch, name,
+                                               strategy):
+        def run():
+            init = build(name)
+            out = [verify(init, GOAL0, strategy)]
+            for tid in init.statics.tids:
+                out.append(verify_assertion(
+                    init, TaskAssertion(tid, "never", PHASE_BY_NAME["Failed"]),
+                    strategy))
+            return [(r.verdict, r.states, r.transitions,
+                     None if r.witness is None else r.witness.steps)
+                    for r in out]
+
+        plain = run()
+        real = checker_mod.iter_transitions
+        drawn = [0]
+
+        def counting(state):
+            for t in real(state):
+                drawn[0] += 1
+                yield t
+
+        monkeypatch.setattr(checker_mod, "iter_transitions", counting)
+        assert run() == plain
+        assert drawn[0] >= sum(r[2] for r in plain)
