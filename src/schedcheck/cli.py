@@ -14,13 +14,12 @@ import dataclasses
 import json
 import sys
 
-from . import analysis, checker, trace as trace_mod, whatif
+from . import __version__, analysis, checker, trace as trace_mod, whatif
 from .config import ClusterConfig, load_config
 from .errors import SchedCheckError, UnknownTask
 from .model import PHASE_NAMES, build_cluster, replay
 from .rates import compute_rates
 
-VERSION = "0.1.0"
 MAX_WITNESS_STEPS_IN_REPORT = 1000
 
 
@@ -130,7 +129,7 @@ def cmd_verify(args) -> int:
     initial = build_cluster(config, workload)
     rows = _verify_properties(args, initial, _obligations(args, workload))
     report = {
-        "version": VERSION,
+        "version": __version__,
         "command": "verify",
         "config": _config_echo(config),
         "trace_stats": dataclasses.asdict(trace_mod.stats(workload)),
@@ -147,7 +146,7 @@ def cmd_analyze(args) -> int:
     goal = _first_goal(args, workload, "analysis")
     ((label, result),) = _verify_properties(args, initial, [goal])
     report = {
-        "version": VERSION,
+        "version": __version__,
         "command": "analyze",
         "config": _config_echo(config),
         "trace_stats": dataclasses.asdict(trace_mod.stats(workload)),
@@ -231,7 +230,7 @@ def cmd_whatif(args) -> int:
                               state_budget=args.state_budget,
                               time_budget_s=args.time_budget)]
     report = {
-        "version": VERSION,
+        "version": __version__,
         "command": "whatif",
         "config": _config_echo(config),
         "goal": goal.name,

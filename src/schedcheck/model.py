@@ -133,7 +133,9 @@ def table_records(table: tuple, n: int) -> list:
 
 class NodeRT(NamedTuple):
     on: bool
-    slots: tuple  # per slot: None | task_id | ("c", task_id)
+    # per slot: None free, p the task at position p, n + p its speculative
+    # copy (n tasks); position 0 is an occupant, so test `is None`
+    slots: tuple
 
 
 class Counters(NamedTuple):
@@ -184,39 +186,45 @@ _NODES_KEY = _key_at(_draw_keys(2), 1)
 class Statics:
     """Per-run data shared by every state of one exploration; immutable
     but for `keys`, which fills with fixed values on first use."""
-    __slots__ = ("tids", "idx_of", "kind", "submit", "duration", "deadline",
-                 "preferred", "job_of", "job_tasks", "total_maps",
+    __slots__ = ("tids", "idx_of", "rank", "kind", "submit", "duration",
+                 "deadline", "preferred", "job_of", "job_tasks", "total_maps",
                  "queue", "workload", "named_nodes", "job_ids", "job_idx_of",
                  "pool_of", "key_bytes", "keys")
 
     def __init__(self, config: ClusterConfig, trace: WorkloadTrace):
+        # Per-task attributes are tuples indexed by task position, per-job
+        # ones by job position; idx_of and job_idx_of serve the id boundary.
         recs = trace.records
         self.tids = tuple(r.task_id for r in recs)
         self.idx_of = {t: i for i, t in enumerate(self.tids)}
-        self.kind = {r.task_id: (CODE_MAP if r.kind == MAP else CODE_REDUCE)
-                     for r in recs}
-        self.submit = {r.task_id: r.submit_ms for r in recs}
-        self.duration = {r.task_id: r.duration_ms for r in recs}
-        self.deadline = {
-            r.task_id: (r.deadline_ms if r.deadline_ms is not None
-                        else r.submit_ms + int(config.deadline_factor * r.duration_ms))
-            for r in recs}
-        self.preferred = {r.task_id: r.preferred_node for r in recs}
-        self.job_of = {r.task_id: r.job_id for r in recs}
-        # job id -> the positions of its tasks, in trace order
-        self.job_tasks = trace.job_index
-        self.job_ids = tuple(self.job_tasks)
+        # position -> rank of its task id in id order, the tie-break order
+        # of sched_pending and running: the inverse of the id-order sort
+        by_id = sorted(range(len(recs)), key=self.tids.__getitem__)
+        self.rank = tuple(sorted(range(len(recs)), key=by_id.__getitem__))
+        self.kind = tuple(CODE_MAP if r.kind == MAP else CODE_REDUCE
+                          for r in recs)
+        self.submit = tuple(r.submit_ms for r in recs)
+        self.duration = tuple(r.duration_ms for r in recs)
+        self.deadline = tuple(
+            r.deadline_ms if r.deadline_ms is not None
+            else r.submit_ms + int(config.deadline_factor * r.duration_ms)
+            for r in recs)
+        self.preferred = tuple(r.preferred_node for r in recs)
+        self.job_ids = tuple(trace.job_index)
         self.job_idx_of = {j: i for i, j in enumerate(self.job_ids)}
+        self.job_of = tuple(self.job_idx_of[r.job_id] for r in recs)
+        # the positions of each job's tasks, in trace order
+        self.job_tasks = tuple(trace.job_index.values())
         # job id -> fair pool or capacity queue; None under fifo
         self.pool_of = policies.pool_table(config, self.job_ids)
-        self.total_maps = {
-            j: sum(1 for p in ps if recs[p].kind == MAP)
-            for j, ps in self.job_tasks.items()}
+        self.total_maps = tuple(
+            sum(1 for p in ps if self.kind[p] == CODE_MAP)
+            for ps in self.job_tasks)
         self.queue = tuple(
-            (self.kind[r.task_id], r.job_id, r.task_id) for r in recs)
+            (k, r.job_id, r.task_id) for k, r in zip(self.kind, recs))
         self.workload = len(recs)
         self.named_nodes = frozenset(
-            p for p in self.preferred.values()
+            p for p in self.preferred
             if p is not None and 0 <= p < config.node_count)
         # Fingerprint keys (see GlobalState.fingerprint) of the task
         # positions, then the job positions, from key 2 on. A key is made
@@ -284,16 +292,18 @@ class GlobalState:
 
     def task_phase(self, tid) -> int:
         """Current phase, with the WaitingResources view applied."""
-        rt = self.task(tid)
+        i = self.statics.idx_of[tid]
+        rt = self.tasks[i >> 10][(i >> 5) & 31][i & 31]
         if rt.phase == SUBMITTED:
-            if rt.dl or self.clock - self.statics.submit[tid] > \
+            if rt.dl or self.clock - self.statics.submit[i] > \
                     self.config.fairness_wait_ms:
                 return WAITING_RESOURCES
         return rt.phase
 
     def task_ever_reached(self, tid, phase: int) -> bool:
         """Whether the task has been in `phase` at or before this state."""
-        rt = self.task(tid)
+        i = self.statics.idx_of[tid]
+        rt = self.tasks[i >> 10][(i >> 5) & 31][i & 31]
         if phase == SUBMITTED:
             return True
         if phase == WAITING_RESOURCES:
@@ -305,7 +315,7 @@ class GlobalState:
                 ref = rt.finish
             else:
                 ref = self.clock
-            return ref - self.statics.submit[tid] > self.config.fairness_wait_ms
+            return ref - self.statics.submit[i] > self.config.fairness_wait_ms
         if phase == SCHEDULED:
             return rt.node >= 0 or rt.phase >= SCHEDULED
         if phase == PROCESSED:
@@ -321,8 +331,9 @@ class GlobalState:
         A base entry is pending if and only if its task is still SUBMITTED:
         assignment and cascade failure are the only ways out of SUBMITTED,
         and both consume the entry. Base entry i is task i, so its record
-        is read by position. `extra` holds only the pending speculative
-        entries: assignment and cascade failure drop them."""
+        is read by position. `extra` holds the task positions of the pending
+        speculative entries (assignment and cascade failure drop them); one
+        reads as its task's base entry with the code of a copy."""
         scanned = 0
         cap = self.config.max_queue
         base = self.statics.queue
@@ -335,30 +346,37 @@ class GlobalState:
                 yield i, code, jid, tid
                 scanned += 1
             i += 1
-        for k, entry in enumerate(self.extra):
+        for k, p in enumerate(self.extra):
             if scanned >= cap:
                 break
-            yield n + k, entry[0], entry[1], entry[2]
+            code, jid, tid = base[p]
+            yield n + k, code + 2, jid, tid
             scanned += 1
 
-    def entry_eligible(self, code, jid, tid) -> bool:
-        """Assignment eligibility (the slowstart gate for reduces)."""
-        if code in (CODE_MAP, CODE_REDUCE):
-            if self.task(tid).phase != SUBMITTED or self.job(jid).failed:
-                return False
-            if code == CODE_REDUCE:
-                total = self.statics.total_maps[jid]
-                ss = self.config.reduce_slowstart
-                need = total if ss >= 1.0 else math.ceil(ss * total)
-                return self.job(jid).fin_maps >= need
-            return True
-        # speculative copy: original must still be running
-        return self.task(tid).phase == PROCESSED and not self.job(jid).failed
-
     def eligible_entries(self):
-        for qpos, code, jid, tid in self.iter_queue():
-            if self.entry_eligible(code, jid, tid):
-                yield qpos, code, jid, tid
+        """The entries of iter_queue that assignment may take: none of a
+        failed job, a reduce only past its job's slowstart gate, a copy only
+        while its original runs (a base entry's task is SUBMITTED)."""
+        st = self.statics
+        n, job_of, total_maps = st.workload, st.job_of, st.total_maps
+        ss = self.config.reduce_slowstart
+        tasks, jobs, extra = self.tasks, self.jobs, self.extra
+        for entry in self.iter_queue():
+            qpos, code = entry[0], entry[1]
+            p = qpos if qpos < n else extra[qpos - n]
+            j = job_of[p]
+            job = jobs[j >> 10][(j >> 5) & 31][j & 31]
+            if job.failed:
+                continue
+            if code == CODE_REDUCE:
+                total = total_maps[j]
+                if job.fin_maps < (total if ss >= 1.0
+                                   else math.ceil(ss * total)):
+                    continue
+            elif code != CODE_MAP and \
+                    tasks[p >> 10][(p >> 5) & 31][p & 31].phase != PROCESSED:
+                continue
+            yield entry
 
     # -- fingerprints --------------------------------------------------------
 
@@ -409,33 +427,27 @@ def canonical_key(state: GlobalState, sym: bool) -> tuple:
 
 
 def _scalar_key(state: GlobalState) -> tuple:
-    """The clock, queue, counters and master flags of the state key. A
-    pending speculative entry is read as its task's position, which fixes
-    the entry's code and job."""
-    idx_of = state.statics.idx_of
-    return (state.clock, state.queue_head,
-            tuple(idx_of[e[2]] for e in state.extra), state.counters,
+    """The clock, queue, counters and master flags of the state key. The
+    speculative queue is read as it is stored, its tasks' positions."""
+    return (state.clock, state.queue_head, state.extra, state.counters,
             state.namenode_on, state.jobtracker_on)
 
 
 def _node_key(state: GlobalState, sym: bool) -> tuple:
-    """The nodes part of the state key. A slot's occupant reads as an int:
-    -1 free, p the task at position p, n + p its speculative copy (n
-    tasks). Plain, the part is the nodes' on flags and every slot in order.
+    """The nodes part of the state key. A slot reads as the int it holds
+    (see NodeRT), a free slot as -1. Plain, the part is the nodes' on flags
+    and every slot in order.
     With sym, a named node keeps its place in index order, with its on flag
     and its sorted occupants; an anonymous node reduces to its on flag and
     the sorted classes of its slots (0 free, else the occupant's queue
     code: its kind, + 2 for a copy), and the anonymous parts are sorted."""
-    st = state.statics
-    idx_of, n = st.idx_of, st.workload
     nodes = state.nodes
-    occ = [-1 if o is None else
-           n + idx_of[o[1]] if isinstance(o, tuple) else idx_of[o]
-           for node in nodes for o in node.slots]
+    occ = [-1 if o is None else o for node in nodes for o in node.slots]
     if not sym:
         return tuple([node.on for node in nodes]), tuple(occ)
-    k = state.config.slots_per_node
-    named, queue = st.named_nodes, st.queue
+    st = state.statics
+    k, n = state.config.slots_per_node, st.workload
+    named, kind = st.named_nodes, st.kind
     named_parts, anon_parts = [], []
     for i, node in enumerate(nodes):
         here = sorted(occ[i * k:i * k + k])
@@ -443,7 +455,7 @@ def _node_key(state: GlobalState, sym: bool) -> tuple:
             named_parts.append((node.on, tuple(here)))
         else:
             anon_parts.append((node.on, tuple(sorted([
-                0 if o < 0 else queue[o][0] if o < n else queue[o - n][0] + 2
+                0 if o < 0 else kind[o] if o < n else kind[o - n] + 2
                 for o in here]))))
     anon_parts.sort()
     return tuple(named_parts), tuple(anon_parts)
@@ -518,9 +530,6 @@ class _Builder:
         self.jh += (st.keys[k] or st.key(k)) * (hash(rt) - hash(old))
         self.jobs = table_set(self.jobs, i, rt)
 
-    def add_extra(self, entry):
-        self.extra = self.extra + (entry,)
-
     def set_slot(self, node_i, slot_k, occupant):
         node = self.nodes[node_i]
         if occupant is not None and node.slots[slot_k] is not None:
@@ -544,11 +553,18 @@ class _Builder:
             i += 1
         self.queue_head = i
         state = self._build()
-        to_flag = _deadlock_flags(state)
+        # Deadlock flags go to the blocked tasks of every job on a cycle of
+        # the wait-for graph. A job on a cycle has an out-edge, so it is
+        # blocked, and an in-edge, so it is a holder; a job that is both
+        # waits on itself. So the jobs on cycles are blocked & holders.
+        graph = _wait_for(state)
+        to_flag = [] if graph is None else [
+            p for j, ps in graph[1].items() if j in graph[0]
+            for p in ps if not table_get(tasks, p).dl]
         if not to_flag:
             return state
-        for tid in to_flag:
-            self.set_task(st.idx_of[tid], state.task(tid)._replace(dl=1))
+        for p in to_flag:
+            self.set_task(p, table_get(tasks, p)._replace(dl=1))
         self.bump(n_deadlock=len(to_flag))
         # flags never free slots, so no second detection pass
         return self._build()
@@ -603,12 +619,12 @@ def enabled_moves(state: GlobalState) -> list:
                     if node.on and None in node.slots:
                         moves.append((assign, (qpos, i)))
     st = state.statics
-    for tid in state.sched_pending:
-        jid = st.job_of[tid]
+    for p in state.sched_pending:
+        j = st.job_of[p]
         # reduces execute only once every sibling map has finished
-        if st.kind[tid] != CODE_REDUCE or \
-                state.job(jid).fin_maps >= st.total_maps[jid]:
-            moves.append((_execute, tid))
+        if st.kind[p] != CODE_REDUCE or \
+                table_get(state.jobs, j).fin_maps >= st.total_maps[j]:
+            moves.append((_execute, p))
     if state.running:
         moves.append((_complete, None))
     return moves
@@ -643,9 +659,9 @@ def _assign(state: GlobalState, arg) -> Transition:
     b = _Builder(state)
     rt = table_get(state.tasks, qpos)
     b.set_task(qpos, rt._replace(phase=SCHEDULED, node=i, slot=k))
-    b.set_slot(i, k, tid)
+    b.set_slot(i, k, qpos)
     pending = list(state.sched_pending)
-    insort(pending, tid)
+    insort(pending, qpos, key=state.statics.rank.__getitem__)
     b.sched_pending = tuple(pending)
     b.bump(n_scheduled=1, free_slots=-1)
     return Transition(Event(f"assign.{tid}.{i}"), b.finish(), tuple(b.changed))
@@ -657,39 +673,38 @@ def _assign_spec(state: GlobalState, arg) -> Transition:
     qpos, i = arg
     st = state.statics
     k_extra = qpos - st.workload
-    tid = state.extra[k_extra][2]
-    ti = st.idx_of[tid]
+    p = state.extra[k_extra]
     k = state.nodes[i].slots.index(None)
     b = _Builder(state)
-    rt = table_get(state.tasks, ti)
+    rt = table_get(state.tasks, p)
     b.extra = state.extra[:k_extra] + state.extra[k_extra + 1:]
-    b.set_task(ti, rt._replace(copies=rt.copies + ((i, k, state.clock),)))
-    b.set_slot(i, k, ("c", tid))
+    b.set_task(p, rt._replace(copies=rt.copies + ((i, k, state.clock),)))
+    b.set_slot(i, k, st.workload + p)
     b.bump(free_slots=-1)
-    return Transition(Event(f"assign_spec.{tid}.{i}"), b.finish(),
+    return Transition(Event(f"assign_spec.{st.tids[p]}.{i}"), b.finish(),
                       tuple(b.changed))
 
 
-def _execute(state: GlobalState, tid) -> Transition:
-    """Scheduled -> Processed; locality counted against the preferred
-    node."""
+def _execute(state: GlobalState, p: int) -> Transition:
+    """Scheduled -> Processed for the task at position p; locality counted
+    against the preferred node."""
     cfg = state.config
     st = state.statics
-    ti = st.idx_of[tid]
-    rt = table_get(state.tasks, ti)
-    start = max(state.clock, st.submit[tid])
-    end = start + min(st.duration[tid], cfg.task_timeout_ms)
-    pref = st.preferred[tid]
+    rt = table_get(state.tasks, p)
+    start = max(state.clock, st.submit[p])
+    end = start + min(st.duration[p], cfg.task_timeout_ms)
+    pref = st.preferred[p]
     local = 1 if (pref is None or pref == rt.node) else 0
     b = _Builder(state)
-    b.set_task(ti, rt._replace(phase=PROCESSED, start=start, local=local))
-    b.sched_pending = tuple(t for t in state.sched_pending if t != tid)
+    b.set_task(p, rt._replace(phase=PROCESSED, start=start, local=local))
+    b.sched_pending = tuple(q for q in state.sched_pending if q != p)
     running = list(state.running)
-    insort(running, (end, tid))
+    insort(running, (end, st.rank[p], p))
     b.running = tuple(running)
     b.bump(completedscheduled=1, locality=local, nonlocality=1 - local,
-           n_served_fair=1 if start - st.submit[tid] <= cfg.fairness_wait_ms else 0)
-    return Transition(Event(f"execute.{tid}"), b.finish(), tuple(b.changed))
+           n_served_fair=1 if start - st.submit[p] <= cfg.fairness_wait_ms else 0)
+    return Transition(Event(f"execute.{st.tids[p]}"), b.finish(),
+                      tuple(b.changed))
 
 
 def _free_task_slots(b: _Builder, rt: TaskRT):
@@ -705,27 +720,26 @@ def _free_task_slots(b: _Builder, rt: TaskRT):
     return freed
 
 
-def _cascade(b: _Builder, jid: str, skip: int):
-    """A failed map fails its job; all not-yet-finished sibling tasks fail.
-    `skip` is the failed map's position."""
+def _cascade(b: _Builder, j: int, skip: int):
+    """A failed map fails its job, at position j; all not-yet-finished
+    sibling tasks fail. `skip` is the failed map's position."""
     st = b.src.statics
-    for i in st.job_tasks[jid]:
+    for i in st.job_tasks[j]:
         if i == skip:
             continue
         rt = table_get(b.tasks, i)
         if rt.phase in (FINISHED_WITHIN_DEADLINE, FINISHED_AFTER_DEADLINE, FAILED):
             continue
-        tid = st.tids[i]
         freed = _free_task_slots(b, rt)
         if rt.phase == SCHEDULED:
-            b.sched_pending = tuple(t for t in b.sched_pending if t != tid)
+            b.sched_pending = tuple(q for q in b.sched_pending if q != i)
         elif rt.phase == PROCESSED:
-            b.running = tuple(e for e in b.running if e[1] != tid)
+            b.running = tuple(e for e in b.running if e[2] != i)
         b.set_task(i, rt._replace(phase=FAILED, cause=CAUSE_CASCADE,
                                   finish=b.clock, copies=()))
         b.bump(n_failed=1, free_slots=freed)
     # stale speculative entries for this job
-    b.extra = tuple(e for e in b.extra if e[1] != jid)
+    b.extra = tuple(p for p in b.extra if st.job_of[p] != j)
 
 
 def _speculation_scan(b: _Builder):
@@ -736,15 +750,13 @@ def _speculation_scan(b: _Builder):
     if cfg.max_speculative == 0:
         return
     st = b.src.statics
-    for _end, tid in b.running:
-        i = st.idx_of[tid]
+    for _end, _rank, i in b.running:
         rt = b.tasks[i >> 10][(i >> 5) & 31][i & 31]
         if rt.spec_count >= cfg.max_speculative:
             continue
-        jid = st.job_of[tid]
-        j = st.job_idx_of[jid]
+        j = st.job_of[i]
         job = b.jobs[j >> 10][(j >> 5) & 31][j & 31]
-        if st.kind[tid] == CODE_MAP:
+        if st.kind[i] == CODE_MAP:
             cnt, tot = job.fin_maps, job.fin_map_dur
         else:
             cnt, tot = job.fin_reds, job.fin_red_dur
@@ -752,21 +764,19 @@ def _speculation_scan(b: _Builder):
             continue
         estimate = tot / cnt
         if b.clock - rt.start > cfg.speculation_factor * estimate:
-            code = st.kind[tid] + 2
-            b.add_extra((code, jid, tid))
+            b.extra += (i,)
             b.set_task(i, rt._replace(spec_count=rt.spec_count + 1))
 
 
 def _complete(state: GlobalState, _arg) -> Transition:
     """The earliest-finishing running task resolves; the clock jumps to its
     finish time. Deterministic: ties broken by task id."""
-    end, tid = state.running[0]
+    end, _rank, ti = state.running[0]
     st = state.statics
     cfg = state.config
-    ti, jid = st.idx_of[tid], st.job_of[tid]
-    ji = st.job_idx_of[jid]
+    ji = st.job_of[ti]
     rt = table_get(state.tasks, ti)
-    dur = st.duration[tid]
+    dur = st.duration[ti]
     b = _Builder(state)
     b.clock = end
     b.running = state.running[1:]
@@ -775,7 +785,7 @@ def _complete(state: GlobalState, _arg) -> Transition:
 
     if dur > cfg.task_timeout_ms:
         cause = CAUSE_SPECULATIVE if rt.spec_count > 0 else CAUSE_TIMEOUT
-    elif end > st.deadline[tid] and rt.start > st.deadline[tid]:
+    elif end > st.deadline[ti] and rt.start > st.deadline[ti]:
         cause = CAUSE_QUEUEWAIT  # the queue wait alone consumed the deadline
     else:
         cause = CAUSE_NONE
@@ -783,14 +793,14 @@ def _complete(state: GlobalState, _arg) -> Transition:
         b.set_task(ti, rt._replace(phase=FAILED, cause=cause, finish=end,
                                    copies=()))
         b.bump(n_failed=1)
-        event = Event(f"fail.{tid}")
-        if st.kind[tid] == CODE_MAP:
+        event = Event(f"fail.{st.tids[ti]}")
+        if st.kind[ti] == CODE_MAP:
             job = table_get(b.jobs, ji)
             if not job.failed:
                 b.set_job(ji, job._replace(failed=1))
-            _cascade(b, jid, ti)
+            _cascade(b, ji, ti)
     else:
-        if end <= st.deadline[tid]:
+        if end <= st.deadline[ti]:
             phase = FINISHED_WITHIN_DEADLINE
             b.bump(n_fin_within=1)
         else:
@@ -798,13 +808,13 @@ def _complete(state: GlobalState, _arg) -> Transition:
             b.bump(n_fin_after=1)
         b.set_task(ti, rt._replace(phase=phase, finish=end, copies=()))
         job = table_get(b.jobs, ji)
-        if st.kind[tid] == CODE_MAP:
+        if st.kind[ti] == CODE_MAP:
             b.set_job(ji, job._replace(fin_maps=job.fin_maps + 1,
                                        fin_map_dur=job.fin_map_dur + dur))
         else:
             b.set_job(ji, job._replace(fin_reds=job.fin_reds + 1,
                                        fin_red_dur=job.fin_red_dur + dur))
-        event = Event(f"complete.{tid}")
+        event = Event(f"complete.{st.tids[ti]}")
     _speculation_scan(b)
     return Transition(event, b.finish(), tuple(b.changed))
 
@@ -858,57 +868,47 @@ def wait_for_graph(state: GlobalState):
 
     Any free slot would serve any blocked task, so every blocked job waits
     on every holder job: the graph is complete from the blocked jobs to the
-    holders, and its cycles need no search (see _deadlock_flags)."""
+    holders, and its cycles need no search (see _Builder.finish)."""
+    graph = _wait_for(state)
+    if graph is None:
+        return None, None
+    holders, blocked = graph
+    jids, tids = state.statics.job_ids, state.statics.tids
+    held = {jids[j] for j in holders}
+    return ({jids[j]: set(held) for j in blocked},
+            {jids[j]: [tids[p] for p in ps] for j, ps in blocked.items()})
+
+
+def _wait_for(state: GlobalState):
+    """wait_for_graph's parts by position: the set of holder jobs and the
+    blocked task positions of each blocked job, or None."""
     if state.counters.free_slots != 0:
-        return None, None
+        return None
     st = state.statics
+    n, job_of, kind = st.workload, st.job_of, st.kind
     holders = set()
-    any_occ = False
-    for node in state.nodes:
-        if not node.on:
-            continue
-        for occ in node.slots:
-            if occ is None:
+    for node in state.nodes:  # a switched-off node holds nothing
+        for p in node.slots:
+            if p is None:
                 continue
-            any_occ = True
-            if isinstance(occ, tuple):
-                return None, None  # a copy resolves with its original
-            rt = state.task(occ)
-            if rt.phase == PROCESSED:
-                return None, None  # running tasks complete eventually
-            jid = st.job_of[occ]
-            if st.kind[occ] == CODE_REDUCE and \
-                    state.job(jid).fin_maps < st.total_maps[jid]:
-                holders.add(jid)
+            if p >= n:
+                return None  # a copy resolves with its original
+            if table_get(state.tasks, p).phase == PROCESSED:
+                return None  # running tasks complete eventually
+            j = job_of[p]
+            if kind[p] == CODE_REDUCE and \
+                    table_get(state.jobs, j).fin_maps < st.total_maps[j]:
+                holders.add(j)
             else:
-                return None, None  # an executable occupant will progress
-    if not any_occ or not holders:
-        return None, None
+                return None  # an executable occupant will progress
+    if not holders:
+        return None
 
-    blocked = {}  # jid -> [tids blocked only by slot scarcity]
-    for _qpos, code, jid, tid in state.eligible_entries():
-        if code in (CODE_MAP, CODE_REDUCE):
-            blocked.setdefault(jid, []).append(tid)
-    if not blocked:
-        return None, None
-
-    edges = {jid: set(holders) for jid in blocked}
-    return edges, blocked
-
-
-def _deadlock_flags(state: GlobalState) -> list:
-    """Tasks whose sticky deadlock flag must be set when a genuine circular
-    slot-wait exists: the blocked queued tasks of every job on a cycle of
-    the wait-for graph (self-loops count).
-
-    A job on a cycle has an out-edge, so it is blocked, and an in-edge, so
-    it is a holder; a job that is both waits on itself. The jobs on cycles
-    are therefore exactly blocked & holders, read here as the self-loops."""
-    edges, blocked = wait_for_graph(state)
-    if edges is None:
-        return []
-    return [tid for jid, tids in blocked.items() if jid in edges[jid]
-            for tid in tids if not state.task(tid).dl]
+    blocked = {}  # job position -> positions blocked only by slot scarcity
+    for qpos, code, _jid, _tid in state.eligible_entries():
+        if code == CODE_MAP or code == CODE_REDUCE:
+            blocked.setdefault(job_of[qpos], []).append(qpos)
+    return (holders, blocked) if blocked else None
 
 
 # --------------------------------------------------------------------------
@@ -936,18 +936,18 @@ def terminal_summary(state: GlobalState) -> dict:
     unfinished = []
     phase_counts = [0] * len(PHASE_NAMES)
     stragglers = 0
-    for tid, rt in zip(st.tids, table_records(state.tasks, st.workload)):
+    records = table_records(state.tasks, st.workload)
+    for tid, rt, submit in zip(st.tids, records, st.submit):
         phase_counts[state.task_phase(tid)] += 1
         if rt.phase == FAILED:
             failed[tid] = CAUSE_NAMES[rt.cause]
         elif rt.phase not in (FINISHED_WITHIN_DEADLINE, FINISHED_AFTER_DEADLINE):
             unfinished.append(tid)
-        if rt.start >= 0 and rt.start - st.submit[tid] >= 600_000:
+        if rt.start >= 0 and rt.start - submit >= 600_000:
             stragglers += 1
     chains = {}
-    for jid in st.job_ids:
-        n = sum(1 for i in st.job_tasks[jid]
-                if table_get(state.tasks, i).cause == CAUSE_CASCADE)
+    for jid, ps in zip(st.job_ids, st.job_tasks):
+        n = sum(1 for i in ps if records[i].cause == CAUSE_CASCADE)
         if n:
             chains[jid] = n
     rates = compute_rates(state)

@@ -51,15 +51,15 @@ def pool_table(config, job_ids) -> dict | None:
 
 
 def _running_by_pool(state, n_pools: int) -> list:
-    """Occupied slots per pool, speculative copies included."""
+    """Occupied slots per pool, speculative copies included: a slot holds
+    the position p of a task or n + p of its copy (n tasks)."""
     counts = [0] * n_pools
-    pool_of = state.statics.pool_of
-    job_of = state.statics.job_of
+    st = state.statics
+    pool_of, jids, job_of, n = st.pool_of, st.job_ids, st.job_of, st.workload
     for node in state.nodes:
         for occ in node.slots:
             if occ is not None:
-                tid = occ[1] if isinstance(occ, tuple) else occ
-                counts[pool_of[job_of[tid]]] += 1
+                counts[pool_of[jids[job_of[occ % n]]]] += 1
     return counts
 
 

@@ -6,9 +6,9 @@ which runs the same checks over a much larger draw count.
 
 from fixtures import random_workload
 
-from schedcheck.model import (CODE_REDUCE, FAILED, PROCESSED, SUBMITTED,
-                              StepRecord, build_cluster, iter_transitions,
-                              replay, terminal_summary)
+from schedcheck.model import (CODE_REDUCE, FAILED, PROCESSED, SCHEDULED,
+                              SUBMITTED, StepRecord, build_cluster,
+                              iter_transitions, replay, terminal_summary)
 from schedcheck.rates import compute_rates
 
 _PCT_RATES = ("schedulabilityrate", "fairnessrate", "resourcedeadlockrate",
@@ -23,12 +23,14 @@ def check_state(state):
         "slot conservation violated"
 
     st = state.statics
-    for tid in st.tids:
+    n = st.workload
+    for p, tid in enumerate(st.tids):
         rt = state.task(tid)
         # Failed reduces are exempt: cascades fail them without executing.
-        if st.kind[tid] == CODE_REDUCE and PROCESSED <= rt.phase < FAILED:
-            jid = st.job_of[tid]
-            assert state.job(jid).fin_maps == st.total_maps[jid], \
+        if st.kind[p] == CODE_REDUCE and PROCESSED <= rt.phase < FAILED:
+            j = st.job_of[p]
+            jid = st.job_ids[j]
+            assert state.job(jid).fin_maps == st.total_maps[j], \
                 f"reduce {tid} executed before all maps of {jid} finished"
 
     # the base queue: consumed below the head, pending at it, and scanned
@@ -49,14 +51,37 @@ def check_state(state):
 
     # the speculative queue: only pending entries, none of a failed job,
     # and each speculation of a running task either queued or running
-    assert not any(state.job(jid).failed for _code, jid, _tid in state.extra), \
+    assert not any(state.job(base[p][1]).failed for p in state.extra), \
         "a speculative entry of a failed job is still queued"
-    for tid in st.tids:
+    for p, tid in enumerate(st.tids):
         rt = state.task(tid)
         if rt.phase == PROCESSED:
-            queued = sum(1 for e in state.extra if e[2] == tid)
+            queued = state.extra.count(p)
             assert queued + len(rt.copies) == rt.spec_count, \
                 f"speculations of {tid} neither queued nor running"
+
+    # back-pointers: the occupied slots are exactly the slots that the
+    # SCHEDULED and PROCESSED tasks and their copies claim, one claim each
+    # (a slot holds the position p of a task or n + p of its copy)
+    claims = []
+    for p, tid in enumerate(st.tids):
+        rt = state.task(tid)
+        if rt.phase in (SCHEDULED, PROCESSED):
+            claims.append(((rt.node, rt.slot), p))
+        claims.extend(((cn, ck), n + p) for cn, ck, _cs in rt.copies)
+    slots = {(i, k): occ for i, node in enumerate(state.nodes)
+             for k, occ in enumerate(node.slots) if occ is not None}
+    assert len(claims) == len(slots) and dict(claims) == slots, \
+        "slot occupants and task slot claims disagree"
+    assert [st.tids[p] for p in state.sched_pending] == sorted(
+        tid for tid in st.tids if state.task(tid).phase == SCHEDULED), \
+        "sched_pending is not the SCHEDULED tasks in id order"
+    timeout = state.config.task_timeout_ms
+    assert [(end, st.tids[p]) for end, _rank, p in state.running] == sorted(
+        (rt.start + min(st.duration[p], timeout), tid)
+        for p, tid in enumerate(st.tids) for rt in [state.task(tid)]
+        if rt.phase == PROCESSED), \
+        "running is not the PROCESSED tasks in (end, id) order"
 
     rates = compute_rates(state).as_dict()
     for name in _PCT_RATES:

@@ -40,7 +40,7 @@ def recount_metrics(state) -> dict:
     n = st.workload
     n_sched = n_started = n_fin_within = n_failed = 0
     n_local = n_remote = n_fair = n_dl = 0
-    for tid in st.tids:
+    for tid, submit in zip(st.tids, st.submit):
         rt = state.task(tid)
         if rt.node >= 0:  # ever held a slot assignment
             n_sched += 1
@@ -50,7 +50,7 @@ def recount_metrics(state) -> dict:
                 n_local += 1
             elif rt.local == 0:
                 n_remote += 1
-            if rt.start - st.submit[tid] <= cfg.fairness_wait_ms:
+            if rt.start - submit <= cfg.fairness_wait_ms:
                 n_fair += 1
         if rt.phase == FINISHED_WITHIN_DEADLINE:
             n_fin_within += 1

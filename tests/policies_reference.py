@@ -24,14 +24,16 @@ class PoolState(NamedTuple):
 
 
 def _occupied_by_pool(state, pool_of_job) -> dict:
+    # a slot holds the position p of a task or n + p of its copy, and base
+    # queue entry p is task p's (code, job_id, task_id)
     counts = {}
-    job_of = state.statics.job_of
+    queue = state.statics.queue
+    n = len(queue)
     for node in state.nodes:
         for occ in node.slots:
             if occ is None:
                 continue
-            tid = occ[1] if isinstance(occ, tuple) else occ
-            pool = pool_of_job(job_of[tid])
+            pool = pool_of_job(queue[occ % n][1])
             counts[pool] = counts.get(pool, 0) + 1
     return counts
 

@@ -63,8 +63,9 @@ class TestConstruction:
         trace = mk_trace([rec("m1", "j1", "map", 100, 200),
                           rec("m2", "j1", "map", 0, 100, deadline=123)])
         state = build_cluster(ClusterConfig(deadline_factor=3.0), trace)
-        assert state.statics.deadline["m1"] == 100 + 3 * 200
-        assert state.statics.deadline["m2"] == 123
+        st = state.statics
+        assert st.deadline[st.idx_of["m1"]] == 100 + 3 * 200
+        assert st.deadline[st.idx_of["m2"]] == 123
 
 
 class TestActivation:
@@ -150,13 +151,31 @@ class TestExecutionSemantics:
         assert state.task("m1").start == 0
         assert state.task("m2").start == 500  # waited for its submit time
 
+    def test_ties_break_by_task_id_not_position(self):
+        """Scheduled tasks execute, and tasks finishing together complete,
+        in task-id order: t10 before t2, though t2 comes first in the
+        trace."""
+        from schedcheck.analysis import run_to_quiescence
+        trace = mk_trace([rec("t2", "j1", "map", 0, 100),
+                          rec("t10", "j1", "map", 0, 100)])
+        state = build_cluster(
+            ClusterConfig(node_count=1, slots_per_node=2, scheduler="fifo"),
+            trace)
+        assert state.statics.idx_of == {"t2": 0, "t10": 1}
+        events = []
+        run_to_quiescence(state, on_step=lambda t: events.append(t.event.name))
+        assert events == ["activate_nn", "activate_jt", "activate_tt.0",
+                          "assign.t2.0", "assign.t10.0",
+                          "execute.t10", "execute.t2",
+                          "complete.t10", "complete.t2"]
+
     def test_locality_counted_against_preferred_node(self):
         state, _ = first_run(build("locality_preference"))
         c = state.counters
         assert c.locality + c.nonlocality == 3
         for tid in ("m1", "m2", "m3"):
             rt = state.task(tid)
-            pref = state.statics.preferred[tid]
+            pref = state.statics.preferred[state.statics.idx_of[tid]]
             assert rt.local == (1 if rt.node == pref else 0)
 
     def test_slot_conservation_everywhere(self):
@@ -196,7 +215,7 @@ class TestOutcomes:
         state, _ = first_run(build("queue_wait"))
         rt = state.task("m2")
         assert rt.phase == FAILED and rt.cause == CAUSE_QUEUEWAIT
-        assert rt.start > state.statics.deadline["m2"]
+        assert rt.start > state.statics.deadline[state.statics.idx_of["m2"]]
 
     def test_speculative_copy_lifecycle(self):
         # somewhere in the space, the straggler acquires a copy; the copy
@@ -212,9 +231,9 @@ class TestOutcomes:
                 assert rt.phase == PROCESSED  # only running tasks hold copies
             if rt.phase == FINISHED_WITHIN_DEADLINE:
                 assert rt.copies == ()
-                # copy slots were released
+                # copy slots (n + p for n tasks) were released
                 occupied = [s for n in state.nodes for s in n.slots
-                            if isinstance(s, tuple)]
+                            if s is not None and s >= state.statics.workload]
                 assert occupied == []
             for t in iter_transitions(state):
                 key = canonical_key(t.state, sym=False)
