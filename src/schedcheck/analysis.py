@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CoverageGap, NoFailuresInTruth
-from .model import (CAUSE_NAMES, FAILED, FINISHED_AFTER_DEADLINE,
-                    FINISHED_WITHIN_DEADLINE, GlobalState, WitnessTrace,
-                    iter_transitions)
+from .model import (FINISHED_AFTER_DEADLINE, FINISHED_WITHIN_DEADLINE,
+                    GlobalState, WitnessTrace, iter_transitions)
 from .trace import WorkloadTrace
 
 FINISHED = "Finished"
@@ -43,19 +42,6 @@ def predicted_outcomes(state: GlobalState) -> dict:
             out[tid] = FINISHED
         else:
             out[tid] = FAILED_LABEL
-    return out
-
-
-def predicted_causes(state: GlobalState) -> dict:
-    """task_id -> cause label for every predicted-Failed task."""
-    out = {}
-    for tid in state.statics.tids:
-        rt = state.task(tid)
-        if rt.phase == FAILED:
-            out[tid] = CAUSE_NAMES[rt.cause]
-        elif rt.phase not in (FINISHED_WITHIN_DEADLINE,
-                              FINISHED_AFTER_DEADLINE):
-            out[tid] = "Unresolved"
     return out
 
 

@@ -15,9 +15,9 @@ import json
 import sys
 
 from . import __version__, analysis, checker, trace as trace_mod, whatif
-from .config import ClusterConfig, load_config
+from .config import ClusterConfig, load_config, parse_config_text
 from .errors import SchedCheckError, UnknownTask
-from .model import PHASE_NAMES, build_cluster, replay
+from .model import PHASE_NAMES, build_cluster
 from .rates import compute_rates
 
 MAX_WITNESS_STEPS_IN_REPORT = 1000
@@ -153,11 +153,9 @@ def cmd_analyze(args) -> int:
         "properties": [_result_json(label, result)],
     }
     if result.conclusive:
-        if result.verdict == "reachable":
-            final = analysis.run_to_quiescence(
-                replay(initial, result.witness.steps))
-        else:
-            final = analysis.run_to_quiescence(initial)
+        # an unreachable goal has no witness: grade the run from the start
+        final = analysis.run_to_quiescence(
+            result.witness.state if result.witness else initial)
         witness = checker.make_witness((), final)
         predicted = analysis.predicted_outcomes(final)
         cm = analysis.classify(predicted, workload)
@@ -178,27 +176,24 @@ def cmd_analyze(args) -> int:
 
 
 def _parse_scenario_file(path, base: ClusterConfig) -> whatif.Scenario:
-    from .config import parse_config_text
+    """`label = ...` names the scenario; every other line overrides its
+    field of the base config, even with the field's default value."""
     label = ""
-    delta = {}
+    lines, keys = [], []
     with open(path, encoding="utf-8") as fh:
-        lines = []
         for raw in fh:
             line = raw.split("#")[0].strip()
             if not line:
                 continue
-            key = line.split("=", 1)[0].strip()
+            key, _, value = line.partition("=")
+            key = key.strip()
             if key == "label":
-                label = line.split("=", 1)[1].strip()
+                label = value.strip()
             else:
                 lines.append(line)
-    if lines:
-        overridden = parse_config_text("\n".join(lines))
-        defaults = ClusterConfig()
-        for f in dataclasses.fields(ClusterConfig):
-            v = getattr(overridden, f.name)
-            if v != getattr(defaults, f.name):
-                delta[f.name] = v
+                keys.append(key)
+    overridden = parse_config_text("\n".join(lines))
+    delta = {key: getattr(overridden, key) for key in keys}
     return whatif.Scenario(base, delta, label or path)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import policies
@@ -924,7 +924,13 @@ class StepRecord(NamedTuple):
 @dataclass(frozen=True)
 class WitnessTrace:
     steps: tuple          # StepRecords from the initial state
-    terminal: dict        # summary of the final state (see terminal_summary)
+    # the state the steps end in; witnesses are equal when their steps are
+    state: GlobalState = field(compare=False, repr=False)
+
+    @property
+    def terminal(self) -> dict:
+        """Summary of the end state (see terminal_summary)."""
+        return terminal_summary(self.state)
 
 
 def terminal_summary(state: GlobalState) -> dict:
@@ -963,8 +969,7 @@ def terminal_summary(state: GlobalState) -> dict:
 
 
 def make_witness(steps, terminal_state: GlobalState) -> WitnessTrace:
-    return WitnessTrace(steps=tuple(steps),
-                        terminal=terminal_summary(terminal_state))
+    return WitnessTrace(tuple(steps), terminal_state)
 
 
 def replay(initial: GlobalState, steps) -> GlobalState:

@@ -47,14 +47,6 @@ class WorkloadTrace:
     def __len__(self):
         return self.task_count
 
-    def job_totals(self) -> dict:
-        """job_id -> (map count, reduce count)."""
-        totals = {}
-        for jid, positions in self.job_index.items():
-            maps = sum(1 for p in positions if self.records[p].kind == MAP)
-            totals[jid] = (maps, len(positions) - maps)
-        return totals
-
 
 def from_rows(rows) -> WorkloadTrace:
     """Build a trace from an iterable of (line_no, TaskRecord) pairs."""
@@ -164,16 +156,6 @@ class TraceStats:
     failure_fraction_pct: float
     map_count: int
     reduce_count: int
-
-    def as_dict(self):
-        return {
-            "task_count": self.task_count,
-            "job_count": self.job_count,
-            "failed_count": self.failed_count,
-            "failure_fraction_pct": round(self.failure_fraction_pct, 4),
-            "map_count": self.map_count,
-            "reduce_count": self.reduce_count,
-        }
 
 
 def stats(trace: WorkloadTrace) -> TraceStats:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import predicted_causes, run_to_quiescence
+from .analysis import run_to_quiescence
 from .checker import GoalExpr, verify
 from .config import ClusterConfig
-from .model import build_cluster
+from .model import build_cluster, terminal_summary
 from .trace import WorkloadTrace
 
 
@@ -86,19 +86,17 @@ def _run_leg(config: ClusterConfig, workload: WorkloadTrace, goal: GoalExpr,
                     state_budget=state_budget, time_budget_s=time_budget_s)
     if result.verdict == "unknown":
         return LegResult(0.0, {}, result.states, False, result.reason)
-    if result.verdict == "unreachable":
-        # no witness to grade; fall back to the deterministic run
-        final = run_to_quiescence(initial)
-    else:
-        from .model import replay
-        final = run_to_quiescence(replay(initial, result.witness.steps))
-    causes = predicted_causes(final)
+    # an unreachable goal has no witness to grade: run from the start
+    final = run_to_quiescence(result.witness.state if result.witness
+                              else initial)
+    term = terminal_summary(final)
     counts: dict = {}
-    for cause in causes.values():
+    for cause in term["failed"].values():
         counts[cause] = counts.get(cause, 0) + 1
-    n = final.statics.workload
-    return LegResult(100.0 * len(causes) / n, counts, result.states, True,
-                     result.verdict)
+    if term["unfinished"]:
+        counts["Unresolved"] = len(term["unfinished"])
+    return LegResult(100.0 * sum(counts.values()) / final.statics.workload,
+                     counts, result.states, True, result.verdict)
 
 
 def run(scenario: Scenario, workload: WorkloadTrace, goal: GoalExpr,

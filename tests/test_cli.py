@@ -5,8 +5,9 @@ import pytest
 
 from fixtures import FIXTURES
 
-from schedcheck import trace as trace_mod
-from schedcheck.cli import main
+from schedcheck import __version__, trace as trace_mod
+from schedcheck.cli import _parse_scenario_file, main
+from schedcheck.config import ClusterConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_DATA = ROOT / "demos" / "data"
@@ -195,6 +196,23 @@ class TestWhatif:
         assert cmp_["reduction_rate_pct"] == pytest.approx(100.0)
         assert "Scenario" in capsys.readouterr().out
 
+    def test_scenario_may_set_a_field_to_its_default(self, tmp_path):
+        # the base times out at 1 000 ms; the scenario sets the default
+        config, trace = write_fixture(tmp_path, "timeout_cascade")
+        default = ClusterConfig().task_timeout_ms
+        scenario = tmp_path / "scenario.conf"
+        scenario.write_text(f"task_timeout_ms = {default}\n")
+        assert _parse_scenario_file(str(scenario), ClusterConfig()).delta \
+            == {"task_timeout_ms": default}
+        out = tmp_path / "report.json"
+        code = main(["whatif", "--config", config, "--trace", trace,
+                     "--properties", props(tmp_path, GOAL0_PROPS),
+                     "--scenario", str(scenario), "--out", str(out)])
+        assert code == 0
+        (cmp_,) = json.loads(out.read_text())["comparisons"]
+        assert cmp_["baseline_failure_pct"] == pytest.approx(100.0)
+        assert cmp_["scenario_failure_pct"] == pytest.approx(0.0)
+
     def test_nodes_sweep(self, tmp_path):
         config, trace = write_fixture(tmp_path, "two_jobs_fifo")
         out = tmp_path / "report.json"
@@ -297,3 +315,11 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+def test_pyproject_version_is_the_package_version():
+    # reports carry schedcheck.__version__; the package metadata must agree
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == __version__

@@ -5,14 +5,17 @@ from fixtures import FIXTURES, mk_trace, rec
 import oracle
 
 from schedcheck import whatif
-from schedcheck.checker import Atom, GoalExpr
+from schedcheck.analysis import run_to_quiescence
+from schedcheck.checker import Atom, GoalExpr, verify
 from schedcheck.config import ClusterConfig
-from schedcheck.model import build_cluster
+from schedcheck.model import (CAUSE_NAMES, FAILED, FINISHED_AFTER_DEADLINE,
+                              FINISHED_WITHIN_DEADLINE, build_cluster, replay)
 from schedcheck.whatif import Scenario, run, sweep
 
 GOAL0 = GoalExpr("goal0", (Atom("completedscheduled", "==", "workload"),
                            Atom("workload", ">", 0.0)))
 ANY = GoalExpr("any", (Atom("workload", ">", 0.0),))
+DL = GoalExpr("dl", (Atom("resourcedeadlockrate", ">=", 50.0),))
 
 
 class TestRun:
@@ -41,8 +44,7 @@ class TestRun:
     def test_added_slot_clears_deadlock(self):
         fx = FIXTURES["deadlock_self"]
         report = run(Scenario(fx.config, {"slots_per_node": 2}, "slots+1"),
-                     fx.trace,
-                     GoalExpr("dl", (Atom("resourcedeadlockrate", ">=", 50.0),)))
+                     fx.trace, DL)
         assert report.scenario_failure_pct < report.baseline_failure_pct
         # cross-check both legs with the exhaustive enumerator
         base_min, base_max = oracle.failure_pct_range(
@@ -112,3 +114,43 @@ class TestSweep:
         r1 = run(s, fx.trace, GOAL0)
         r2 = run(s, fx.trace, GOAL0)
         assert r1.as_dict() == r2.as_dict()
+
+
+def own_tally(config, trace, goal):
+    """(failure %, cause -> count) read off the phases of the run a leg
+    grades: the goal witness replayed, or the initial state when there is
+    none, extended to quiescence."""
+    initial = build_cluster(config, trace)
+    result = verify(initial, goal)
+    final = run_to_quiescence(replay(initial, result.witness.steps)
+                              if result.witness else initial)
+    counts: dict = {}
+    for tid in final.statics.tids:
+        rt = final.task(tid)
+        if rt.phase in (FINISHED_WITHIN_DEADLINE, FINISHED_AFTER_DEADLINE):
+            continue
+        cause = CAUSE_NAMES[rt.cause] if rt.phase == FAILED else "Unresolved"
+        counts[cause] = counts.get(cause, 0) + 1
+    return 100.0 * sum(counts.values()) / len(final.statics.tids), counts
+
+
+class TestLegTally:
+    @pytest.mark.parametrize("name, delta, goal, verdict, counts", [
+        ("timeout_cascade", {}, GOAL0, "unreachable",
+         {"Timeout": 1, "Cascade": 2}),
+        ("timeout_cascade", {}, ANY, "reachable",
+         {"Timeout": 1, "Cascade": 2}),
+        ("timeout_cascade", {"task_timeout_ms": 4_000}, GOAL0, "reachable",
+         {}),
+        ("deadlock_self", {}, DL, "reachable", {"Unresolved": 2}),
+        ("deadlock_self", {"slots_per_node": 2}, DL, "unreachable", {}),
+        ("two_jobs_fifo", {}, GOAL0, "reachable", {}),
+        ("fair_two_pools", {"scheduler": "capacity"}, GOAL0, "reachable", {}),
+    ])
+    def test_leg_matches_own_tally(self, name, delta, goal, verdict, counts):
+        fx = FIXTURES[name]
+        leg = run(Scenario(fx.config, delta), fx.trace, goal).scenario
+        assert leg.verdict == verdict
+        assert leg.cause_counts == counts
+        assert (leg.failure_pct, leg.cause_counts) == \
+            own_tally(fx.config.override(**delta), fx.trace, goal)
