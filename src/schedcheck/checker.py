@@ -12,6 +12,12 @@ hands out its last transition, so the stack keeps alive only the path
 states that still have untried successors, and the witness path keeps one
 StepRecord per step.
 
+The cyclic garbage collector is paused for the span of a search. A deep
+search keeps thousands of path states alive, and each collection would walk
+them all again, making the search superlinear in its depth; the explorer
+and the model build no reference cycles, so the pause leaves no garbage
+behind (tests/test_checker.py checks both).
+
 Properties come from a small assertion language:
 
     #define goal0 completedscheduled == workload && workload > 0;
@@ -29,6 +35,7 @@ integer metrics stays exact.
 
 from __future__ import annotations
 
+import gc
 import operator
 import re
 import time
@@ -173,6 +180,21 @@ class VerificationResult:
 
 def _explore(initial: GlobalState, strategy: str, state_budget: int,
              time_budget_s: float, found, verdicts: tuple) -> VerificationResult:
+    """_search with the cyclic collector paused until it returns or raises.
+    A caller that has paused it already keeps it paused, so a search run
+    from inside another's `found` leaves it off for the outer one."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        return _search(initial, strategy, state_budget, time_budget_s, found,
+                       verdicts)
+    finally:
+        if was:
+            gc.enable()
+
+
+def _search(initial: GlobalState, strategy: str, state_budget: int,
+            time_budget_s: float, found, verdicts: tuple) -> VerificationResult:
     """First-witness DFS. `found(state, is_terminal)` returns truthy when the
     target is hit. `verdicts` names the outcome as (hit, no hit): the first
     hit gives verdicts[0] and its witness, a search that runs to the end

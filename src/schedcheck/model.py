@@ -18,8 +18,15 @@ A state's fingerprint is a Zobrist-style sum (Zobrist 1970; the idea behind
 SPIN and TLC fingerprints): every task and job position has a fixed random
 key, a record's digest is the built-in hash() of an int tuple, and each
 transition adds key times digest change for the records it writes. The
-scalar and node parts are digested per fingerprint. See
-GlobalState.fingerprint for the collision bound.
+scalar and node parts are digested per fingerprint; the node part holds
+only what the task records leave open (the on flags, and under symmetry one
+class code per anonymous node), since on a reachable state the records fix
+which task holds which slot. See GlobalState.fingerprint for the collision
+bound.
+
+The base queue is read from a frontier, the first pending map, after the
+few pending reduces below it (`held`), so a reduce that waits for its maps
+does not make every scan re-walk the entries consumed behind it.
 """
 
 from __future__ import annotations
@@ -189,7 +196,7 @@ class Statics:
     __slots__ = ("tids", "idx_of", "rank", "kind", "submit", "duration",
                  "deadline", "preferred", "job_of", "job_tasks", "total_maps",
                  "queue", "workload", "named_nodes", "job_ids", "job_idx_of",
-                 "pool_of", "key_bytes", "keys")
+                 "pool_of", "class_weight", "key_bytes", "keys")
 
     def __init__(self, config: ClusterConfig, trace: WorkloadTrace):
         # Per-task attributes are tuples indexed by task position, per-job
@@ -226,6 +233,11 @@ class Statics:
         self.named_nodes = frozenset(
             p for p in self.preferred
             if p is not None and 0 <= p < config.node_count)
+        # an anonymous node's class code (see _node_view) adds
+        # class_weight[c] per occupant of class c: 2 (k + 1)^(c - 1) for
+        # k slots a node, so the codes of different class counts differ
+        base = config.slots_per_node + 1
+        self.class_weight = (0, 2, 2 * base, 2 * base ** 2, 2 * base ** 3)
         # Fingerprint keys (see GlobalState.fingerprint) of the task
         # positions, then the job positions, from key 2 on. A key is made
         # from its bytes on first use, so set-up pays for the bytes alone.
@@ -253,22 +265,32 @@ class Transition(NamedTuple):
 
 class GlobalState:
     __slots__ = ("statics", "config", "tasks", "jobs", "nodes", "queue_head",
-                 "extra", "clock", "counters", "namenode_on", "jobtracker_on",
-                 "running", "sched_pending", "_th_sym", "_th_plain", "_jh")
+                 "held", "frontier", "extra", "clock", "counters",
+                 "namenode_on", "jobtracker_on", "running", "sched_pending",
+                 "_th_sym", "_th_plain", "_jh")
 
     def __init__(self, statics: Statics, config: ClusterConfig, nodes: tuple,
-                 tasks: tuple, jobs: tuple, queue_head=0, extra=(), clock=0,
-                 counters=Counters(), namenode_on=False, jobtracker_on=False,
-                 running=(), sched_pending=(), th_sym=0, th_plain=0, jh=0):
+                 tasks: tuple, jobs: tuple, queue_head: int, held: tuple,
+                 frontier: int, extra=(), clock=0, counters=Counters(),
+                 namenode_on=False, jobtracker_on=False, running=(),
+                 sched_pending=(), th_sym=0, th_plain=0, jh=0):
         """The one constructor of a state; the defaults, with all-default
-        task and job tables, are the cold cluster that build_cluster starts
-        from."""
+        task and job tables and the full queue, are the cold cluster that
+        build_cluster starts from.
+
+        The base queue is kept by three fields, all functions of the task
+        records: the frontier is the position of the first pending map (n
+        if none), held the sorted positions of the pending reduces below
+        it, and queue_head the first pending entry, so held[0] if any, else
+        the frontier."""
         self.statics = statics
         self.config = config
         self.tasks = tasks
         self.jobs = jobs
         self.nodes = nodes
         self.queue_head = queue_head
+        self.held = held
+        self.frontier = frontier
         self.extra = extra
         self.clock = clock
         self.counters = counters
@@ -331,14 +353,23 @@ class GlobalState:
         A base entry is pending if and only if its task is still SUBMITTED:
         assignment and cascade failure are the only ways out of SUBMITTED,
         and both consume the entry. Base entry i is task i, so its record
-        is read by position. `extra` holds the task positions of the pending
-        speculative entries (assignment and cascade failure drop them); one
-        reads as its task's base entry with the code of a copy."""
+        is read by position. The pending entries below the frontier are the
+        held reduces, so the walk starts at the frontier and never re-reads
+        the consumed entries behind a reduce that waits for its maps.
+        `extra` holds the task positions of the pending speculative entries
+        (assignment and cascade failure drop them); one reads as its task's
+        base entry with the code of a copy."""
         scanned = 0
         cap = self.config.max_queue
         base = self.statics.queue
+        for i in self.held:
+            if scanned >= cap:
+                return
+            code, jid, tid = base[i]
+            yield i, code, jid, tid
+            scanned += 1
         tasks = self.tasks
-        i = self.queue_head
+        i = self.frontier
         n = len(base)
         while i < n and scanned < cap:
             if tasks[i >> 10][(i >> 5) & 31][i & 31].phase == SUBMITTED:
@@ -386,9 +417,20 @@ class GlobalState:
         plus S s + N m. K_i is position i's fixed random key (Statics.key),
         d_i the hash() of its record's view (the record itself, or _sym_rt's
         view of a task under sym) and d0_i that of the default record. s and
-        m are the hash() of _scalar_key and of _node_key, S and N their keys
-        (_SCALAR_KEY, _NODES_KEY). _Builder keeps the position terms; s and
-        m are taken here.
+        m are the hash() of _scalar_key and of _node_view, S and N their
+        keys (_SCALAR_KEY, _NODES_KEY). _Builder keeps the position terms; s
+        and m are taken here.
+
+        The node part digests only the node facts that the task views leave
+        open. On every reachable state the occupied slots are exactly the
+        ones that the SCHEDULED and PROCESSED tasks and their copies claim
+        (the back-pointer invariant of tests/invariants.py). So the plain
+        task records fix every slot, and the symmetric views fix the
+        occupants of each named node; what is left is the on flags and,
+        under sym, the occupant classes of each anonymous node, which
+        _node_view encodes one to one. Two reachable states then have equal
+        task views and node views exactly when their canonical keys, whose
+        node part is the full _node_key, are equal.
 
         Collisions: two states with different canonical keys differ in the
         view at some position, counting the scalar and node parts as two
@@ -402,7 +444,7 @@ class GlobalState:
         can be both -1 and -2, which hash alike."""
         th = self._th_sym if sym else self._th_plain
         return (th + self._jh + _SCALAR_KEY * hash(_scalar_key(self))
-                + _NODES_KEY * hash(_node_key(self, sym)))
+                + _NODES_KEY * hash(_node_view(self, sym)))
 
     def is_terminal(self) -> bool:
         return not enabled_moves(self)
@@ -410,12 +452,13 @@ class GlobalState:
 
 def canonical_key(state: GlobalState, sym: bool) -> tuple:
     """Structural state identity (hash-free, collision-free): the scalar
-    part, the task and job records in position order, and the node part,
-    each the very view that fingerprint digests. With sym=True the key is
-    invariant under permutations of anonymous nodes and of slots within a
-    node. Meant for small models and cross-checks, not for the explorer's
-    visited set. Untouched tasks and jobs appear with their default
-    record."""
+    part, the task and job records in position order, each the very view
+    that fingerprint digests, and the full node part (_node_key), of which
+    fingerprint digests only what the task views leave open. With sym=True
+    the key is invariant under permutations of anonymous nodes and of slots
+    within a node. Meant for small models and cross-checks, not for the
+    explorer's visited set. Untouched tasks and jobs appear with their
+    default record."""
     st = state.statics
     tasks = table_records(state.tasks, st.workload)
     if sym:
@@ -461,6 +504,34 @@ def _node_key(state: GlobalState, sym: bool) -> tuple:
     return tuple(named_parts), tuple(anon_parts)
 
 
+def _node_view(state: GlobalState, sym: bool) -> tuple:
+    """The node part of the fingerprint: what _node_key holds beyond the
+    task views (see GlobalState.fingerprint). Plain, the nodes' on flags.
+    With sym, the named nodes' on flags in index order, and the sorted
+    class codes of the anonymous nodes: a node's code is 1 if it is on,
+    plus Statics.class_weight of each occupant's class (its queue code,
+    its kind + 2 for a copy). A class count is at most the slots a node
+    has, so a code names the on flag and the counts of each class."""
+    nodes = state.nodes
+    if not sym:
+        return tuple([node.on for node in nodes])
+    st = state.statics
+    named, kind, weight, n = (st.named_nodes, st.kind, st.class_weight,
+                              st.workload)
+    named_on, codes = [], []
+    for i, node in enumerate(nodes):
+        if i in named:
+            named_on.append(node.on)
+            continue
+        code = 1 if node.on else 0
+        for o in node.slots:
+            if o is not None:
+                code += weight[kind[o]] if o < n else weight[kind[o - n] + 2]
+        codes.append(code)
+    codes.sort()
+    return tuple(named_on), tuple(codes)
+
+
 # A task on an anonymous node reads _ANON in the symmetric view. Not -2:
 # hash(-1) == hash(-2) in CPython, and -1 already means "not placed".
 _ANON = -3
@@ -498,6 +569,8 @@ class _Builder:
         self.jobs = state.jobs
         self.nodes = list(state.nodes)
         self.queue_head = state.queue_head
+        self.held = state.held
+        self.frontier = state.frontier
         self.extra = state.extra
         self.clock = state.clock
         self.counters = state.counters
@@ -545,13 +618,12 @@ class _Builder:
         self.counters = tuple.__new__(Counters, c)
 
     def finish(self) -> GlobalState:
-        # advance past consumed entries so scans stay O(window)
-        st = self.src.statics
+        # only an entry that left the queue can move the queue fields
+        for _tid, old, _new in self.changed:
+            if old == SUBMITTED:
+                self._advance_queue()
+                break
         tasks = self.tasks
-        i, n = self.queue_head, st.workload
-        while i < n and tasks[i >> 10][(i >> 5) & 31][i & 31].phase != SUBMITTED:
-            i += 1
-        self.queue_head = i
         state = self._build()
         # Deadlock flags go to the blocked tasks of every job on a cycle of
         # the wait-for graph. A job on a cycle has an out-edge, so it is
@@ -569,13 +641,46 @@ class _Builder:
         # flags never free slots, so no second detection pass
         return self._build()
 
+    def _advance_queue(self):
+        """Some base entry was consumed: drop the consumed ones from held,
+        move the frontier to the next pending map, holding the pending
+        reduces it passes, and set queue_head (see GlobalState). A reduce
+        waits below the frontier for its maps, so no scan walks the
+        consumed entries behind it again."""
+        tasks = self.tasks
+        held = self.held
+        if held:
+            kept = tuple([p for p in held if tasks[p >> 10][(p >> 5) & 31]
+                          [p & 31].phase == SUBMITTED])
+            if len(kept) < len(held):
+                held = kept
+        i = self.frontier
+        st = self.src.statics
+        n = st.workload
+        if i < n and tasks[i >> 10][(i >> 5) & 31][i & 31].phase != SUBMITTED:
+            kind = st.kind
+            passed = []
+            i += 1
+            while i < n:
+                if tasks[i >> 10][(i >> 5) & 31][i & 31].phase == SUBMITTED:
+                    if kind[i] == CODE_MAP:
+                        break
+                    passed.append(i)
+                i += 1
+            if passed:
+                held += tuple(passed)
+            self.frontier = i
+        self.held = held
+        self.queue_head = held[0] if held else self.frontier
+
     def _build(self) -> GlobalState:
         # positional: passing these by keyword doubles the cost of a state
         return GlobalState(
             self.src.statics, self.src.config, tuple(self.nodes), self.tasks,
-            self.jobs, self.queue_head, self.extra, self.clock, self.counters,
-            self.namenode_on, self.jobtracker_on, self.running,
-            self.sched_pending, self.th_sym, self.th_plain, self.jh)
+            self.jobs, self.queue_head, self.held, self.frontier, self.extra,
+            self.clock, self.counters, self.namenode_on, self.jobtracker_on,
+            self.running, self.sched_pending, self.th_sym, self.th_plain,
+            self.jh)
 
 
 def build_cluster(config: ClusterConfig, workload: WorkloadTrace) -> GlobalState:
@@ -585,8 +690,13 @@ def build_cluster(config: ClusterConfig, workload: WorkloadTrace) -> GlobalState
     nodes = tuple(NodeRT(False, (None,) * config.slots_per_node)
                   for _ in range(config.node_count))
     st = Statics(config, workload)
+    # every entry is pending: the frontier is the first map, and the
+    # reduces before it are held
+    frontier = (st.kind.index(CODE_MAP) if CODE_MAP in st.kind
+                else st.workload)
     return GlobalState(st, config, nodes, new_table(st.workload, DEFAULT_RT),
-                       new_table(len(st.job_ids), DEFAULT_JOB))
+                       new_table(len(st.job_ids), DEFAULT_JOB), 0,
+                       tuple(range(frontier)), frontier)
 
 
 # --------------------------------------------------------------------------

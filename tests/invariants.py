@@ -6,8 +6,8 @@ which runs the same checks over a much larger draw count.
 
 from fixtures import random_workload
 
-from schedcheck.model import (CODE_REDUCE, FAILED, PROCESSED, SCHEDULED,
-                              SUBMITTED, StepRecord, build_cluster,
+from schedcheck.model import (CODE_MAP, CODE_REDUCE, FAILED, PROCESSED,
+                              SCHEDULED, SUBMITTED, StepRecord, build_cluster,
                               iter_transitions, replay, terminal_summary)
 from schedcheck.rates import compute_rates
 
@@ -48,6 +48,19 @@ def check_state(state):
     scanned = [e for e in state.iter_queue() if e[0] < len(base)]
     assert scanned == pending[:state.config.max_queue], \
         "iter_queue does not yield the pending base entries"
+    # the frontier is the first pending map, and held the pending reduces
+    # below it, in queue order
+    frontier = state.frontier
+    assert frontier == n or (
+        st.kind[frontier] == CODE_MAP
+        and state.task(base[frontier][2]).phase == SUBMITTED), \
+        "the frontier entry is not a pending map"
+    below = [p for p in range(frontier)
+             if state.task(base[p][2]).phase == SUBMITTED]
+    assert not any(st.kind[p] == CODE_MAP for p in below), \
+        "a pending map sits below the frontier"
+    assert state.held == tuple(below), \
+        "held is not the pending reduces below the frontier"
 
     # the speculative queue: only pending entries, none of a failed job,
     # and each speculation of a running task either queued or running

@@ -1,16 +1,17 @@
 import gc
+import random
 import re
 from types import GeneratorType, SimpleNamespace
 
 import pytest
 
-from fixtures import FIXTURES, mk_trace, rec
+from fixtures import FIXTURES, mk_trace, random_workload, rec
 
 import oracle
 
 import schedcheck.checker as checker_mod
 import schedcheck.model as model_mod
-from schedcheck.checker import (Atom, GoalExpr, TaskAssertion,
+from schedcheck.checker import (STRATEGIES, Atom, GoalExpr, TaskAssertion,
                                 parse_properties, verify, verify_assertion)
 from schedcheck.config import ClusterConfig
 from schedcheck.errors import PropertySyntaxError, UnknownTask
@@ -185,6 +186,49 @@ class TestVerify:
             assert result.verdict == "unreachable"
             assert result.states == len(keys), strategy
 
+    def test_fingerprints_partition_like_canonical_keys_on_random_draws(
+            self):
+        """Over random workloads explored to the end, two reachable states
+        have equal fingerprints exactly when they have equal canonical
+        keys, with and without symmetry. The draws put copies on named
+        nodes and occupants of mixed classes on anonymous nodes: node facts
+        that the fingerprint reads off the task views or packs into one
+        class code a node."""
+        rng = random.Random(1)
+        cap = 800
+        explored = named_copies = mixed_anon = 0
+        for _ in range(200):
+            init = build_cluster(*random_workload(rng))
+            reached = {canonical_key(init, sym=False): init}
+            stack = [init]
+            while stack and len(reached) <= cap:
+                for t in iter_transitions(stack.pop()):
+                    key = canonical_key(t.state, sym=False)
+                    if key not in reached:
+                        reached[key] = t.state
+                        stack.append(t.state)
+            if len(reached) > cap:
+                continue
+            explored += 1
+            for sym in (False, True):
+                key_of, fp_of = {}, {}
+                for state in reached.values():
+                    fp, key = state.fingerprint(sym), canonical_key(state, sym)
+                    assert key_of.setdefault(fp, key) == key, sym
+                    assert fp_of.setdefault(key, fp) == fp, sym
+            st = init.statics
+            n, named = st.workload, st.named_nodes
+            for state in reached.values():
+                for i, node in enumerate(state.nodes):
+                    occ = [o for o in node.slots if o is not None]
+                    if i in named:
+                        named_copies += any(o >= n for o in occ)
+                    else:
+                        mixed_anon += len({st.kind[o % n] + 2 * (o >= n)
+                                           for o in occ}) > 1
+        assert explored >= 100, explored
+        assert named_copies > 0 and mixed_anon > 0, (named_copies, mixed_anon)
+
     def test_sym_explores_fewer_states(self):
         init = build("three_anon_two_jobs")
         unreach = GoalExpr("no", (Atom("failurerate", ">", 99.0),))
@@ -287,6 +331,130 @@ class TestSearchStack:
         assert census["builders"] == 0, census
         assert census["generators"] == 0, census
         assert census["states"] < steps, (census, steps)
+
+
+class _Probe:
+    """A goal that records whether the cyclic collector runs each time the
+    explorer tests a state, and may run a step of its own first."""
+
+    def __init__(self, goal, step=None):
+        self.goal, self.step, self.seen = goal, step, []
+
+    def holds(self, state):
+        if self.step is not None:
+            self.step()
+        self.seen.append(gc.isenabled())
+        return self.goal.holds(state)
+
+
+@pytest.fixture
+def collector_on():
+    """The collector runs when the test starts, and again after it."""
+    gc.enable()
+    yield
+    gc.enable()
+
+
+class TestCollectorPause:
+    """_explore pauses the cyclic collector for the span of one search and
+    puts it back as it was on every way out."""
+
+    NEVER = GoalExpr("never", (Atom("workload", "<", 0.0),))
+    # way out -> (fixture, goal, verify options, verdict)
+    EXITS = {
+        "hit": ("map_reduce_gate", GOAL0, {}, "reachable"),
+        "end": ("map_reduce_gate", NEVER, {}, "unreachable"),
+        "state budget": ("speculative_copy", NEVER, {"state_budget": 50},
+                         "unknown"),
+        "time budget": ("speculative_copy", NEVER, {"time_budget_s": 1.0},
+                        "unknown")}
+
+    @pytest.mark.parametrize("exit_by", list(EXITS))
+    def test_restored_after_every_result(self, collector_on, monkeypatch,
+                                         exit_by):
+        fixture, goal, options, verdict = self.EXITS[exit_by]
+        if exit_by == "time budget":
+            # the deadline has passed at the first check
+            reads = iter([0.0])
+            monkeypatch.setattr(checker_mod, "time", SimpleNamespace(
+                monotonic=lambda: next(reads, 1e9)))
+        probe = _Probe(goal)
+        result = verify(build(fixture), probe, strategy="dfs", **options)
+        assert result.verdict == verdict
+        if verdict == "unknown":
+            assert result.reason.startswith(exit_by)
+        assert probe.seen and not any(probe.seen)
+        assert gc.isenabled()
+
+    def test_restored_after_an_exception_from_found(self, collector_on):
+        def fail():
+            raise RuntimeError("goal test failed")
+
+        probe = _Probe(GOAL0, step=fail)
+        with pytest.raises(RuntimeError, match="goal test failed"):
+            verify(build("map_reduce_gate"), probe)
+        assert gc.isenabled()
+
+    def test_a_paused_collector_stays_paused(self, collector_on):
+        gc.disable()
+        probe = _Probe(GOAL0)
+        assert verify(build("map_reduce_gate"), probe).verdict == "reachable"
+        assert not gc.isenabled()
+        assert_res = verify_assertion(
+            build("timeout_cascade"),
+            TaskAssertion("bad", "never", PHASE_BY_NAME["Failed"]))
+        assert assert_res.verdict == "violated"
+        assert not gc.isenabled()
+
+    def test_a_nested_search_leaves_it_paused_for_the_outer(
+            self, collector_on):
+        inner = build("single_map")
+        after_inner = []
+
+        def nested():
+            assert verify(inner, GOAL0).verdict == "reachable"
+            after_inner.append(gc.isenabled())
+
+        probe = _Probe(self.NEVER, step=nested)
+        result = verify(build("map_reduce_gate"), probe, strategy="dfs")
+        assert result.verdict == "unreachable"
+        assert after_inner and not any(after_inner)
+        assert not any(probe.seen)
+        assert gc.isenabled()
+
+    def test_explorer_makes_no_cycles(self, collector_on):
+        """What makes the pause safe: with the collector off, deep and
+        exhaustive searches, hits and budget stops, leave nothing for it
+        to collect."""
+        n = 2_000
+        trace = synthesize(GeneratorSpec(n_tasks=n, node_count=8), seed=1)
+        deep = build_cluster(ClusterConfig(node_count=8, slots_per_node=2),
+                             trace)
+        half = GoalExpr("half", (Atom("completedscheduled", ">=", n / 2),))
+        last = deep.statics.tids[-1]
+        small = build("speculative_copy")
+        runs = [
+            (deep, half, TaskAssertion(last, "never",
+                                       PHASE_BY_NAME["Scheduled"])),
+            (deep, self.NEVER, TaskAssertion(last, "eventually",
+                                             PHASE_BY_NAME["Failed"])),
+            (small, GOAL0, TaskAssertion("slow", "never",
+                                         PHASE_BY_NAME["Failed"])),
+            (small, self.NEVER, TaskAssertion("f1", "eventually",
+                                              PHASE_BY_NAME["Processed"]))]
+        gc.collect()
+        gc.disable()
+        verdicts = []
+        for init, goal, assertion in runs:
+            for strategy in STRATEGIES:
+                verdicts.append(verify(init, goal, strategy=strategy,
+                                       state_budget=3_000).verdict)
+                verdicts.append(verify_assertion(
+                    init, assertion, strategy=strategy,
+                    state_budget=3_000).verdict)
+        assert gc.collect() == 0
+        assert {"reachable", "unreachable", "violated", "holds",
+                "unknown"} <= set(verdicts), verdicts
 
 
 class TestTracerContract:
