@@ -264,31 +264,33 @@ class Transition(NamedTuple):
 
 
 class GlobalState:
-    __slots__ = ("statics", "config", "tasks", "jobs", "nodes", "queue_head",
-                 "held", "frontier", "extra", "clock", "counters",
-                 "namenode_on", "jobtracker_on", "running", "sched_pending",
-                 "_th_sym", "_th_plain", "_jh")
+    __slots__ = ("statics", "config", "tasks", "jobs", "nodes", "held",
+                 "frontier", "extra", "clock", "counters", "namenode_on",
+                 "jobtracker_on", "running", "sched_pending", "_th_sym",
+                 "_th_plain", "_jh")
 
     def __init__(self, statics: Statics, config: ClusterConfig, nodes: tuple,
-                 tasks: tuple, jobs: tuple, queue_head: int, held: tuple,
-                 frontier: int, extra=(), clock=0, counters=Counters(),
+                 tasks: tuple, jobs: tuple, held: tuple, frontier: int,
+                 extra=(), clock=0, counters=Counters(),
                  namenode_on=False, jobtracker_on=False, running=(),
                  sched_pending=(), th_sym=0, th_plain=0, jh=0):
         """The one constructor of a state; the defaults, with all-default
         task and job tables and the full queue, are the cold cluster that
         build_cluster starts from.
 
-        The base queue is kept by three fields, all functions of the task
+        The base queue is kept by two fields, both functions of the task
         records: the frontier is the position of the first pending map (n
-        if none), held the sorted positions of the pending reduces below
-        it, and queue_head the first pending entry, so held[0] if any, else
-        the frontier."""
+        if none), and held the sorted positions of the pending reduces
+        below it. The first pending entry is held[0] if any, else the
+        frontier. The split pays because few pending reduces sit below the
+        first pending map: a scan then skips the consumed entries between
+        them, and the upkeep is one short tuple copy per held reduce taken,
+        none for a map taken past the frontier."""
         self.statics = statics
         self.config = config
         self.tasks = tasks
         self.jobs = jobs
         self.nodes = nodes
-        self.queue_head = queue_head
         self.held = held
         self.frontier = frontier
         self.extra = extra
@@ -472,7 +474,8 @@ def canonical_key(state: GlobalState, sym: bool) -> tuple:
 def _scalar_key(state: GlobalState) -> tuple:
     """The clock, queue, counters and master flags of the state key. The
     speculative queue is read as it is stored, its tasks' positions."""
-    return (state.clock, state.queue_head, state.extra, state.counters,
+    head = state.held[0] if state.held else state.frontier
+    return (state.clock, head, state.extra, state.counters,
             state.namenode_on, state.jobtracker_on)
 
 
@@ -568,7 +571,6 @@ class _Builder:
         self.tasks = state.tasks
         self.jobs = state.jobs
         self.nodes = list(state.nodes)
-        self.queue_head = state.queue_head
         self.held = state.held
         self.frontier = state.frontier
         self.extra = state.extra
@@ -619,10 +621,11 @@ class _Builder:
 
     def finish(self) -> GlobalState:
         # only an entry that left the queue can move the queue fields
-        for _tid, old, _new in self.changed:
-            if old == SUBMITTED:
-                self._advance_queue()
-                break
+        idx_of = self.src.statics.idx_of
+        taken = [idx_of[tid] for tid, old, _new in self.changed
+                 if old == SUBMITTED]
+        if taken:
+            self._advance_queue(taken)
         tasks = self.tasks
         state = self._build()
         # Deadlock flags go to the blocked tasks of every job on a cycle of
@@ -641,26 +644,26 @@ class _Builder:
         # flags never free slots, so no second detection pass
         return self._build()
 
-    def _advance_queue(self):
-        """Some base entry was consumed: drop the consumed ones from held,
-        move the frontier to the next pending map, holding the pending
-        reduces it passes, and set queue_head (see GlobalState). A reduce
-        waits below the frontier for its maps, so no scan walks the
-        consumed entries behind it again."""
-        tasks = self.tasks
+    def _advance_queue(self, taken: list):
+        """The base entries at positions `taken` were consumed: drop the
+        ones below the frontier from held, and if the frontier's own entry
+        went, move the frontier to the next pending map, holding the
+        pending reduces it passes (see GlobalState). A reduce waits below
+        the frontier for its maps, so no scan walks the consumed entries
+        behind it again, and taking a map past the frontier touches
+        neither field."""
+        frontier = self.frontier
         held = self.held
-        if held:
-            kept = tuple([p for p in held if tasks[p >> 10][(p >> 5) & 31]
-                          [p & 31].phase == SUBMITTED])
-            if len(kept) < len(held):
-                held = kept
-        i = self.frontier
-        st = self.src.statics
-        n = st.workload
-        if i < n and tasks[i >> 10][(i >> 5) & 31][i & 31].phase != SUBMITTED:
-            kind = st.kind
+        for p in taken:
+            if p < frontier:
+                k = held.index(p)
+                held = held[:k] + held[k + 1:]
+        if frontier in taken:
+            tasks = self.tasks
+            st = self.src.statics
+            n, kind = st.workload, st.kind
             passed = []
-            i += 1
+            i = frontier + 1
             while i < n:
                 if tasks[i >> 10][(i >> 5) & 31][i & 31].phase == SUBMITTED:
                     if kind[i] == CODE_MAP:
@@ -671,16 +674,14 @@ class _Builder:
                 held += tuple(passed)
             self.frontier = i
         self.held = held
-        self.queue_head = held[0] if held else self.frontier
 
     def _build(self) -> GlobalState:
         # positional: passing these by keyword doubles the cost of a state
         return GlobalState(
             self.src.statics, self.src.config, tuple(self.nodes), self.tasks,
-            self.jobs, self.queue_head, self.held, self.frontier, self.extra,
-            self.clock, self.counters, self.namenode_on, self.jobtracker_on,
-            self.running, self.sched_pending, self.th_sym, self.th_plain,
-            self.jh)
+            self.jobs, self.held, self.frontier, self.extra, self.clock,
+            self.counters, self.namenode_on, self.jobtracker_on, self.running,
+            self.sched_pending, self.th_sym, self.th_plain, self.jh)
 
 
 def build_cluster(config: ClusterConfig, workload: WorkloadTrace) -> GlobalState:
@@ -695,7 +696,7 @@ def build_cluster(config: ClusterConfig, workload: WorkloadTrace) -> GlobalState
     frontier = (st.kind.index(CODE_MAP) if CODE_MAP in st.kind
                 else st.workload)
     return GlobalState(st, config, nodes, new_table(st.workload, DEFAULT_RT),
-                       new_table(len(st.job_ids), DEFAULT_JOB), 0,
+                       new_table(len(st.job_ids), DEFAULT_JOB),
                        tuple(range(frontier)), frontier)
 
 

@@ -36,7 +36,7 @@ def check_state(state):
     # the base queue: consumed below the head, pending at it, and scanned
     # as exactly the SUBMITTED tasks from the head on, in queue order
     base = st.queue
-    head = state.queue_head
+    head = state.held[0] if state.held else state.frontier
     assert all(state.task(tid).phase != SUBMITTED
                for _code, _jid, tid in base[:head]), \
         "a SUBMITTED task sits below the queue head"
