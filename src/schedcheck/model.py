@@ -26,14 +26,16 @@ bound.
 
 The base queue is read from a frontier, the first pending map, after the
 few pending reduces below it (`held`), so a reduce that waits for its maps
-does not make every scan re-walk the entries consumed behind it.
+does not make every scan re-walk the entries consumed behind it. Under fair
+and capacity each pool keeps the same pair over its own tasks, and its
+running slots (Pools), so a policy finds its pick without a scan.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -145,6 +147,15 @@ class NodeRT(NamedTuple):
     slots: tuple
 
 
+class Pools(NamedTuple):
+    """The per-pool upkeep of a fair or capacity state: each field holds
+    one entry per pool (see GlobalState)."""
+    running: tuple  # occupied slots, speculative copies included
+    cursor: tuple   # index in Statics.pool_tasks[q] of the first pending map
+    held: tuple     # the sorted positions of the pending reduces before it
+    gone: tuple     # the sorted positions consumed after it (by cascades)
+
+
 class Counters(NamedTuple):
     trackercount: int = 0
     completedscheduled: int = 0
@@ -195,8 +206,9 @@ class Statics:
     but for `keys`, which fills with fixed values on first use."""
     __slots__ = ("tids", "idx_of", "rank", "kind", "submit", "duration",
                  "deadline", "preferred", "job_of", "job_tasks", "total_maps",
-                 "queue", "workload", "named_nodes", "job_ids", "job_idx_of",
-                 "pool_of", "class_weight", "key_bytes", "keys")
+                 "gate", "queue", "workload", "named_nodes", "job_ids",
+                 "job_idx_of", "pool", "pool_tasks", "class_weight",
+                 "key_bytes", "keys")
 
     def __init__(self, config: ClusterConfig, trace: WorkloadTrace):
         # Per-task attributes are tuples indexed by task position, per-job
@@ -222,14 +234,28 @@ class Statics:
         self.job_of = tuple(self.job_idx_of[r.job_id] for r in recs)
         # the positions of each job's tasks, in trace order
         self.job_tasks = tuple(trace.job_index.values())
-        # job id -> fair pool or capacity queue; None under fifo
-        self.pool_of = policies.pool_table(config, self.job_ids)
         self.total_maps = tuple(
             sum(1 for p in ps if self.kind[p] == CODE_MAP)
             for ps in self.job_tasks)
+        # per job, the maps that must finish before a reduce may be assigned
+        ss = config.reduce_slowstart
+        self.gate = self.total_maps if ss >= 1.0 else tuple(
+            math.ceil(ss * total) for total in self.total_maps)
+        self.workload = len(recs)
+        # Under fair and capacity, the pool (fair pool or capacity queue) of
+        # each task position, and the positions of each pool's tasks in
+        # queue order, ending in the sentinel n; None under fifo.
+        self.pool = self.pool_tasks = None
+        job_pool = policies.pool_table(config, self.job_ids)
+        if job_pool is not None:
+            self.pool = tuple([job_pool[j] for j in self.job_of])
+            tasks = [[] for _ in range(policies.pool_count(config))]
+            for p, q in enumerate(self.pool):
+                tasks[q].append(p)
+            self.pool_tasks = tuple([tuple(ps) + (self.workload,)
+                                     for ps in tasks])
         self.queue = tuple(
             (k, r.job_id, r.task_id) for k, r in zip(self.kind, recs))
-        self.workload = len(recs)
         self.named_nodes = frozenset(
             p for p in self.preferred
             if p is not None and 0 <= p < config.node_count)
@@ -267,13 +293,13 @@ class GlobalState:
     __slots__ = ("statics", "config", "tasks", "jobs", "nodes", "held",
                  "frontier", "extra", "clock", "counters", "namenode_on",
                  "jobtracker_on", "running", "sched_pending", "_th_sym",
-                 "_th_plain", "_jh")
+                 "_th_plain", "_jh", "pools")
 
     def __init__(self, statics: Statics, config: ClusterConfig, nodes: tuple,
                  tasks: tuple, jobs: tuple, held: tuple, frontier: int,
                  extra=(), clock=0, counters=Counters(),
                  namenode_on=False, jobtracker_on=False, running=(),
-                 sched_pending=(), th_sym=0, th_plain=0, jh=0):
+                 sched_pending=(), th_sym=0, th_plain=0, jh=0, pools=None):
         """The one constructor of a state; the defaults, with all-default
         task and job tables and the full queue, are the cold cluster that
         build_cluster starts from.
@@ -285,7 +311,17 @@ class GlobalState:
         frontier. The split pays because few pending reduces sit below the
         first pending map: a scan then skips the consumed entries between
         them, and the upkeep is one short tuple copy per held reduce taken,
-        none for a map taken past the frontier."""
+        none for a map taken past the frontier.
+
+        Under fair and capacity, `pools` (a Pools) keeps per pool what the
+        policies would otherwise rebuild on every decision: its occupied
+        slots, copies included, and the same split over the pool's own
+        tasks, a cursor to its first pending map with the pending reduces
+        before it, plus the pool's entries consumed after the cursor (only
+        a cascade consumes those), which _pending_before subtracts. Under
+        fifo it is None and costs nothing. Like held and the frontier, these
+        are functions of the task records and slots, so neither
+        canonical_key nor fingerprint reads them."""
         self.statics = statics
         self.config = config
         self.tasks = tasks
@@ -303,6 +339,7 @@ class GlobalState:
         self._th_sym = th_sym
         self._th_plain = th_plain
         self._jh = jh
+        self.pools = pools
 
     def task(self, tid) -> TaskRT:
         i = self.statics.idx_of[tid]
@@ -391,8 +428,7 @@ class GlobalState:
         failed job, a reduce only past its job's slowstart gate, a copy only
         while its original runs (a base entry's task is SUBMITTED)."""
         st = self.statics
-        n, job_of, total_maps = st.workload, st.job_of, st.total_maps
-        ss = self.config.reduce_slowstart
+        n, job_of, gate = st.workload, st.job_of, st.gate
         tasks, jobs, extra = self.tasks, self.jobs, self.extra
         for entry in self.iter_queue():
             qpos, code = entry[0], entry[1]
@@ -402,14 +438,89 @@ class GlobalState:
             if job.failed:
                 continue
             if code == CODE_REDUCE:
-                total = total_maps[j]
-                if job.fin_maps < (total if ss >= 1.0
-                                   else math.ceil(ss * total)):
+                if job.fin_maps < gate[j]:
                     continue
             elif code != CODE_MAP and \
                     tasks[p >> 10][(p >> 5) & 31][p & 31].phase != PROCESSED:
                 continue
             yield entry
+
+    def pool_heads(self) -> list:
+        """Under fair and capacity, each pool's first eligible entry in the
+        max_queue window, as its queue index, or None: the entry that a
+        scan of eligible_entries would meet first among the pool's. That is
+        the pool's first held reduce whose gate is open, else its cursor
+        map, else its first speculative entry whose original runs, if it
+        lies in the window (a pool's later entries lie further out). A
+        pending base entry never belongs to a failed job (a job fails only
+        by the cascade that fails its pending tasks and drops its copies'
+        entries), so no job's failed flag is read."""
+        st = self.statics
+        pools = self.pools
+        n, gate, job_of, jobs = st.workload, st.gate, st.job_of, self.jobs
+        heads = []
+        for order, cursor, held in zip(st.pool_tasks, pools.cursor,
+                                       pools.held):
+            head = order[cursor]  # the first pending map, n if none
+            for p in held:
+                j = job_of[p]
+                if jobs[j >> 10][(j >> 5) & 31][j & 31].fin_maps >= gate[j]:
+                    head = p
+                    break
+            heads.append(head if head < n else None)
+        if self.extra and None in heads:
+            pool, tasks = st.pool, self.tasks
+            for k, p in enumerate(self.extra):
+                q = pool[p]
+                if heads[q] is None:
+                    rt = tasks[p >> 10][(p >> 5) & 31][p & 31]
+                    if rt.phase == PROCESSED:
+                        heads[q] = n + k
+        cap = self.config.max_queue
+        if n + len(self.extra) > cap:  # else every entry is in the window
+            for q, head in enumerate(heads):
+                if head is not None and head >= cap and \
+                        not self._in_window(head):
+                    heads[q] = None
+        return heads
+
+    def _in_window(self, qpos: int) -> bool:
+        """Whether the pending entry at queue index qpos is among the first
+        max_queue pending entries, which iter_queue yields. Bounds settle
+        most cases in O(1): every pending entry before it has a smaller
+        queue index, and before an entry at or past the frontier come the
+        held reduces and at most one entry per position from the frontier
+        on. Only held reduces precede a held reduce. The frontier bound also
+        counts the entries that other pools took past the frontier, which
+        under capacity can fill the window's span many times over; then the
+        pools count exactly (_pending_before)."""
+        cap = self.config.max_queue
+        if qpos < cap:
+            return True
+        held, frontier = self.held, self.frontier
+        if qpos < frontier:  # a held reduce: only held reduces precede it
+            return bisect_left(held, qpos) < cap
+        if len(held) + qpos - frontier < cap:
+            return True
+        return self._pending_before(qpos) < cap
+
+    def _pending_before(self, qpos: int) -> int:
+        """The pending entries before queue index qpos, under fair and
+        capacity, in O(pools log n): per pool, its held reduces before it,
+        and its positions from its cursor up to it less the ones consumed
+        (Pools.gone); before a speculative entry, every pending base entry
+        and the speculative entries ahead of it."""
+        st = self.statics
+        pools = self.pools
+        p = min(qpos, st.workload)
+        before = qpos - p
+        for order, cursor, held, gone in zip(st.pool_tasks, pools.cursor,
+                                             pools.held, pools.gone):
+            before += bisect_left(held, p)
+            past = bisect_left(order, p) - cursor
+            if past > 0:
+                before += past - bisect_left(gone, p)
+        return before
 
     # -- fingerprints --------------------------------------------------------
 
@@ -583,6 +694,7 @@ class _Builder:
         self.th_sym = state._th_sym
         self.th_plain = state._th_plain
         self.jh = state._jh
+        self.pools = state.pools
         self.changed = []
 
     def set_task(self, i: int, rt: TaskRT):
@@ -606,12 +718,24 @@ class _Builder:
         self.jobs = table_set(self.jobs, i, rt)
 
     def set_slot(self, node_i, slot_k, occupant):
+        """Put occupant (see NodeRT), or None to free it, in a slot."""
         node = self.nodes[node_i]
-        if occupant is not None and node.slots[slot_k] is not None:
+        old = node.slots[slot_k]
+        if occupant is not None and old is not None:
             raise SlotConflict(f"slot {node_i}/{slot_k} already occupied")
         slots = list(node.slots)
         slots[slot_k] = occupant
         self.nodes[node_i] = NodeRT(node.on, tuple(slots))
+        pools = self.pools
+        if pools is not None and (occupant is not None or old is not None):
+            st = self.src.statics
+            running = list(pools.running)
+            if occupant is None:
+                running[st.pool[old % st.workload]] -= 1
+            else:
+                running[st.pool[occupant % st.workload]] += 1
+            self.pools = tuple.__new__(
+                Pools, (tuple(running), pools.cursor, pools.held, pools.gone))
 
     def bump(self, **deltas):
         c = list(self.counters)
@@ -645,35 +769,35 @@ class _Builder:
         return self._build()
 
     def _advance_queue(self, taken: list):
-        """The base entries at positions `taken` were consumed: drop the
-        ones below the frontier from held, and if the frontier's own entry
-        went, move the frontier to the next pending map, holding the
-        pending reduces it passes (see GlobalState). A reduce waits below
-        the frontier for its maps, so no scan walks the consumed entries
-        behind it again, and taking a map past the frontier touches
-        neither field."""
-        frontier = self.frontier
-        held = self.held
-        for p in taken:
-            if p < frontier:
-                k = held.index(p)
-                held = held[:k] + held[k + 1:]
-        if frontier in taken:
-            tasks = self.tasks
-            st = self.src.statics
-            n, kind = st.workload, st.kind
-            passed = []
-            i = frontier + 1
-            while i < n:
-                if tasks[i >> 10][(i >> 5) & 31][i & 31].phase == SUBMITTED:
-                    if kind[i] == CODE_MAP:
-                        break
-                    passed.append(i)
-                i += 1
-            if passed:
-                held += tuple(passed)
-            self.frontier = i
-        self.held = held
+        """The base entries at positions `taken` were consumed: move the
+        frontier and held (see GlobalState), and under fair and capacity
+        the cursor, held reduces and gone entries of their pool."""
+        st = self.src.statics
+        tasks = self.tasks
+        self.frontier, self.held = _advance(
+            tasks, st.kind, range(st.workload + 1), self.frontier, self.held,
+            taken)
+        pools = self.pools
+        if pools is not None:
+            # The positions one transition takes belong to one job (an
+            # assignment takes one, a cascade its job's pending tasks), so
+            # to one pool; a field's tuple is copied only when it changes.
+            q = st.pool[taken[0]]
+            order = st.pool_tasks[q]
+            cursor, held, gone = pools.cursor, pools.held, pools.gone
+            front = order[cursor[q]]
+            c, h = _advance(tasks, st.kind, order, cursor[q], held[q], taken)
+            # entries consumed after the cursor, until it passes them
+            past = [p for p in taken if p > front]
+            if past or (gone[q] and c != cursor[q]):
+                g = sorted([p for p in gone[q] + tuple(past) if p > order[c]])
+                gone = gone[:q] + (tuple(g),) + gone[q + 1:]
+            if c != cursor[q]:
+                cursor = cursor[:q] + (c,) + cursor[q + 1:]
+            if h is not held[q]:
+                held = held[:q] + (h,) + held[q + 1:]
+            self.pools = tuple.__new__(Pools,
+                                       (pools.running, cursor, held, gone))
 
     def _build(self) -> GlobalState:
         # positional: passing these by keyword doubles the cost of a state
@@ -681,7 +805,41 @@ class _Builder:
             self.src.statics, self.src.config, tuple(self.nodes), self.tasks,
             self.jobs, self.held, self.frontier, self.extra, self.clock,
             self.counters, self.namenode_on, self.jobtracker_on, self.running,
-            self.sched_pending, self.th_sym, self.th_plain, self.jh)
+            self.sched_pending, self.th_sym, self.th_plain, self.jh,
+            self.pools)
+
+
+def _advance(tasks, kind, order, cursor: int, held: tuple, taken: list):
+    """One queue order's split after the entries at positions `taken`, all
+    in `order`, left SUBMITTED. `order` lists positions in queue order and
+    ends in the sentinel n; order[cursor] is the first pending map (n if
+    none) and held the sorted pending reduces before it. The taken reduces
+    leave held, and if the cursor's own map went, the cursor moves to the
+    next pending map, holding the pending reduces it passes. A reduce waits
+    in held for its maps, so no scan walks the consumed entries behind it
+    again, and taking a map past the cursor touches neither. Returns the
+    new (cursor, held)."""
+    front = order[cursor]
+    for p in taken:
+        if p < front:
+            k = held.index(p)
+            held = held[:k] + held[k + 1:]
+    if front in taken:
+        n = order[-1]
+        passed = []
+        i = cursor + 1
+        p = order[i]
+        while p != n:
+            if tasks[p >> 10][(p >> 5) & 31][p & 31].phase == SUBMITTED:
+                if kind[p] == CODE_MAP:
+                    break
+                passed.append(p)
+            i += 1
+            p = order[i]
+        if passed:
+            held += tuple(passed)
+        cursor = i
+    return cursor, held
 
 
 def build_cluster(config: ClusterConfig, workload: WorkloadTrace) -> GlobalState:
@@ -692,12 +850,29 @@ def build_cluster(config: ClusterConfig, workload: WorkloadTrace) -> GlobalState
                   for _ in range(config.node_count))
     st = Statics(config, workload)
     # every entry is pending: the frontier is the first map, and the
-    # reduces before it are held
+    # reduces before it are held; so for each pool's cursor
     frontier = (st.kind.index(CODE_MAP) if CODE_MAP in st.kind
                 else st.workload)
+    pools = None
+    if st.pool_tasks is not None:
+        cursor = tuple([_first_map(st.kind, order)
+                        for order in st.pool_tasks])
+        pools = tuple.__new__(Pools, (
+            (0,) * len(cursor), cursor,
+            tuple([order[:c] for order, c in zip(st.pool_tasks, cursor)]),
+            ((),) * len(cursor)))
     return GlobalState(st, config, nodes, new_table(st.workload, DEFAULT_RT),
                        new_table(len(st.job_ids), DEFAULT_JOB),
-                       tuple(range(frontier)), frontier)
+                       tuple(range(frontier)), frontier, pools=pools)
+
+
+def _first_map(kind: tuple, order: tuple) -> int:
+    """The index in `order` (see _advance) of its first map, or of its
+    sentinel."""
+    i, n = 0, order[-1]
+    while order[i] != n and kind[order[i]] != CODE_MAP:
+        i += 1
+    return i
 
 
 # --------------------------------------------------------------------------

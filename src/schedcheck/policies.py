@@ -1,29 +1,31 @@
 """Queue-selection policies: FIFO, Fair and Capacity.
 
-The model exposes the scan-window of eligible queue entries; a policy only
-decides which of them a free slot should take. Pool membership is derived
-deterministically from the job id (the trace has no user/pool column), so
-runs are reproducible; `pool_table` computes it once per run.
-
-Every policy reads the eligible entries in queue order and stops as soon as
-its answer is certain:
+The model exposes the window of eligible queue entries (the first max_queue
+pending entries, filtered for eligibility); a policy only decides which of
+them a free slot should take. Pool membership is derived deterministically
+from the job id (the trace has no user/pool column), so runs are
+reproducible; `pool_table` computes it once per run.
 
 - fifo takes the first entry.
 - fair takes the first entry of the pool with the largest deficit
   (entitlement minus running slots). Every pool is entitled to the same
   share, so that is the pool with the fewest running slots, and among tied
-  pools the earlier entry wins. The scan stops at the first entry of a pool
-  that has the cluster-wide minimum.
+  pools the earlier entry wins.
 - capacity takes the first entry of the highest-priority (first listed)
   queue that runs fewer slots than its fraction of the switched-on slots,
-  else the first entry. The scan stops at the first entry of the
-  highest-priority under-capacity queue, or at the first entry when every
-  queue is at capacity.
+  else the first entry.
 
-So a fair or capacity decision costs one pass over the slots plus the
-entries read up to the deciding one. It reads the whole max_queue window
-only when no eligible entry belongs to a min-running pool (fair) or to the
-top under-capacity queue (capacity).
+Fair and capacity do not walk the window. A fair or capacity state keeps
+each pool's running slots and a cursor into the pool's own queue order
+(model.Pools), so GlobalState.pool_heads finds each pool's first eligible
+entry in the window from a few reads: its first held reduce whose gate is
+open, else its cursor map, else its first speculative entry whose original
+runs. Either entry is the one a scan of the window would meet first among
+the pool's, so fair takes the least (running slots, queue index) over the
+pools, and capacity the head of the first under-capacity queue that has
+one, else the least head. A decision costs O(pools) plus the held reduces
+and speculative entries it reads; whether a head lies in the window takes
+O(1), or O(pools log n) once more than max_queue entries are queued.
 """
 
 from __future__ import annotations
@@ -38,29 +40,21 @@ def job_number(job_id: str) -> int:
     return crc32(str(job_id).encode())
 
 
-def pool_table(config, job_ids) -> dict | None:
-    """job id -> its fair pool or capacity queue under config.scheduler;
-    None under fifo, which has no pools."""
+def pool_count(config) -> int:
+    """The fair pools or capacity queues under config.scheduler; 0 under
+    fifo, which has none."""
     if config.scheduler == "fair":
-        n = config.fair_pools
-    elif config.scheduler == "capacity":
-        n = len(config.capacity_queues)
-    else:
-        return None
-    return {j: job_number(j) % n for j in job_ids}
+        return config.fair_pools
+    if config.scheduler == "capacity":
+        return len(config.capacity_queues)
+    return 0
 
 
-def _running_by_pool(state, n_pools: int) -> list:
-    """Occupied slots per pool, speculative copies included: a slot holds
-    the position p of a task or n + p of its copy (n tasks)."""
-    counts = [0] * n_pools
-    st = state.statics
-    pool_of, jids, job_of, n = st.pool_of, st.job_ids, st.job_of, st.workload
-    for node in state.nodes:
-        for occ in node.slots:
-            if occ is not None:
-                counts[pool_of[jids[job_of[occ % n]]]] += 1
-    return counts
+def pool_table(config, job_ids) -> list | None:
+    """The pool (fair pool or capacity queue) of each job under
+    config.scheduler, in the order of job_ids; None under fifo."""
+    n = pool_count(config)
+    return [job_number(j) % n for j in job_ids] if n else None
 
 
 def select(policy: str, eligible, state) -> int | None:
@@ -68,55 +62,35 @@ def select(policy: str, eligible, state) -> int | None:
     (queue_index, code, job_id, task_id) already filtered for eligibility
     and capped at the max_queue scan window. Returns the chosen entry's
     queue index (its global queue position), or None when empty. Fair and
-    capacity read the pools of `state.config`, so `policy` must be its
-    scheduler.
+    capacity find the same entry from the pools of `state`, without reading
+    `eligible`, so `policy` must be the state's scheduler and `eligible`
+    its eligible entries.
     """
     if policy == "fifo":
         first = next(iter(eligible), None)
         return None if first is None else first[0]
     if policy == "fair":
-        return _select_fair(eligible, state)
+        return _fair(state)
     if policy == "capacity":
-        return _select_capacity(eligible, state)
+        return _capacity(state)
     raise ValueError(f"unknown policy {policy!r}")
 
 
-def _select_fair(eligible, state) -> int | None:
-    running = _running_by_pool(state, state.config.fair_pools)
-    least = min(running)
-    pool_of = state.statics.pool_of
+def _fair(state) -> int | None:
     best = None
-    best_running = None
-    for qpos, _code, jid, _tid in eligible:
-        r = running[pool_of[jid]]
-        if r == least:
-            return qpos
-        if best_running is None or r < best_running:
-            best, best_running = qpos, r
-    return best
+    for running, head in zip(state.pools.running, state.pool_heads()):
+        if head is not None and (best is None or (running, head) < best):
+            best = (running, head)
+    return None if best is None else best[1]
 
 
-def _select_capacity(eligible, state) -> int | None:
-    queues = state.config.capacity_queues
-    running = _running_by_pool(state, len(queues))
-    on_slots = sum(len(n.slots) for n in state.nodes if n.on)
+def _capacity(state) -> int | None:
+    heads = state.pool_heads()
+    running = state.pools.running
+    config = state.config
+    on_slots = state.counters.trackercount * config.slots_per_node
     # listed order is priority order
-    under = [q for q, (_, frac) in enumerate(queues)
-             if running[q] < frac * on_slots]
-    pool_of = state.statics.pool_of
-    first = None
-    candidate = {}  # lower-priority under-capacity queue -> its first entry
-    for qpos, _code, jid, _tid in eligible:
-        if first is None:
-            first = qpos
-            if not under:
-                break  # every queue is at capacity
-        q = pool_of[jid]
-        if q == under[0]:
-            return qpos
-        if q in under and q not in candidate:
-            candidate[q] = qpos
-    for q in under:
-        if q in candidate:
-            return candidate[q]
-    return first
+    for q, (_, frac) in enumerate(config.capacity_queues):
+        if heads[q] is not None and running[q] < frac * on_slots:
+            return heads[q]
+    return min((h for h in heads if h is not None), default=None)

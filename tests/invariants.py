@@ -61,6 +61,46 @@ def check_state(state):
         "a pending map sits below the frontier"
     assert state.held == tuple(below), \
         "held is not the pending reduces below the frontier"
+    # the policies skip the failed flag of a pending entry's job
+    assert not any(state.job(entry[2]).failed for entry in pending), \
+        "a pending base entry belongs to a failed job"
+
+    # per pool under fair and capacity: the running slots are a recount of
+    # the occupied slots, the cursor and held reduces split the pool's own
+    # pending entries as the frontier and held split the queue, and gone
+    # lists the pool's consumed entries past its cursor
+    if state.config.scheduler == "fifo":
+        assert state.pools is None, "a fifo state carries pool data"
+    else:
+        n_pools = len(st.pool_tasks)
+        recount = [0] * n_pools
+        for node in state.nodes:
+            for occ in node.slots:
+                if occ is not None:
+                    recount[st.pool[occ % n]] += 1
+        assert state.pools.running == tuple(recount), \
+            "pool running counts disagree with a slot recount"
+        for q in range(n_pools):
+            order = st.pool_tasks[q]
+            assert order[-1] == n and list(order[:-1]) == [
+                p for p in range(n) if st.pool[p] == q], \
+                f"pool {q}'s queue order is not its tasks in queue order"
+            cursor = state.pools.cursor[q]
+            front = order[cursor]
+            assert front == n or (
+                st.kind[front] == CODE_MAP
+                and state.task(base[front][2]).phase == SUBMITTED), \
+                f"pool {q}'s cursor entry is not a pending map"
+            below = [p for p in order[:cursor]
+                     if state.task(base[p][2]).phase == SUBMITTED]
+            assert not any(st.kind[p] == CODE_MAP for p in below), \
+                f"a pending map of pool {q} sits below its cursor"
+            assert state.pools.held[q] == tuple(below), \
+                f"pool {q}'s held is not its pending reduces below its cursor"
+            assert state.pools.gone[q] == tuple(
+                p for p in order[cursor + 1:-1]
+                if state.task(base[p][2]).phase != SUBMITTED), \
+                f"pool {q}'s gone is not its consumed entries past its cursor"
 
     # the speculative queue: only pending entries, none of a failed job,
     # and each speculation of a running task either queued or running

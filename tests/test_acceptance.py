@@ -219,3 +219,39 @@ def test_criterion_7_failure_cause_profile():
           f"speculative {b.speculative_pct:.1f}% of {b.failed_total} "
           f"failures ({elapsed:.0f}s)")
     assert elapsed < 300.0
+
+
+def test_no_scaling_cliff_across_policies():
+    """On an 8,000-task trace with a standing queue (the shape of the
+    benchmark's policy sweep: 8 x 2 slots, four fair pools, three capacity
+    queues), a fair or capacity first-witness verify takes at most twice
+    as long as fifo's, best of 3 each."""
+    t0 = time.monotonic()
+    n = 8_000
+    trace = synthesize(GeneratorSpec(n_tasks=n, interarrival_ms=10_000,
+                                     node_count=8, profile="opencloud"),
+                       seed=1)
+    _, (goal,) = parse_properties(
+        f"#define busy completedscheduled >= {n // 2};\n"
+        "#assert cluster reaches busy;\n")
+    base = ClusterConfig(
+        node_count=8, slots_per_node=2, deadline_factor=200.0, fair_pools=4,
+        capacity_queues=(("prod", 0.5), ("batch", 0.3), ("adhoc", 0.2)))
+    best = {}
+    for policy in ("fifo", "fair", "capacity"):
+        initial = build_cluster(base.override(scheduler=policy), trace)
+        times = []
+        for _ in range(3):
+            t = time.perf_counter()
+            result = verify(initial, goal, "dfs-sym")
+            times.append(time.perf_counter() - t)
+            assert result.verdict == "reachable", f"{policy}: {result}"
+        best[policy] = min(times)
+    elapsed = time.monotonic() - t0
+    print(f"\nno scaling cliff: best of 3 verifies at {n} tasks, " +
+          ", ".join(f"{p} {s:.2f}s" for p, s in best.items()) +
+          f" ({elapsed:.0f}s)")
+    for policy in ("fair", "capacity"):
+        assert best[policy] <= 2.0 * best["fifo"], \
+            f"{policy} is {best[policy] / best['fifo']:.1f}x fifo"
+    assert elapsed < 300.0

@@ -7,7 +7,7 @@ from fixtures import FIXTURES, mk_trace, rec
 import policies_reference
 
 from schedcheck.config import ClusterConfig
-from schedcheck.model import build_cluster, iter_transitions
+from schedcheck.model import GlobalState, build_cluster, iter_transitions
 from schedcheck.policies import job_number, select
 from schedcheck.trace import GeneratorSpec, synthesize
 
@@ -145,8 +145,9 @@ class TestAgainstListBasedReference:
     @staticmethod
     def assert_agrees(policy, state):
         eligible = list(state.eligible_entries())
-        assert select(policy, iter(eligible), state) == \
-            policies_reference.select(policy, eligible, state)
+        got = select(policy, iter(eligible), state)
+        assert got == policies_reference.select(policy, eligible, state)
+        return got
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_every_reachable_fixture_state(self, policy):
@@ -168,9 +169,7 @@ class TestAgainstListBasedReference:
     def test_random_walks_over_a_generated_trace(self, policy):
         trace = synthesize(GeneratorSpec(n_tasks=1_000, interarrival_ms=500,
                                          profile="opencloud"), seed=7)
-        config = ClusterConfig(
-            node_count=4, slots_per_node=2, scheduler=policy, fair_pools=4,
-            capacity_queues=(("prod", 0.5), ("batch", 0.3), ("adhoc", 0.2)))
+        config = self.config(policy)
         rng = random.Random(20261018)
         # a short window often holds no entry of the deciding pool or queue
         for max_queue in (config.max_queue, 3):
@@ -182,3 +181,67 @@ class TestAgainstListBasedReference:
                 if not successors:
                     break
                 state = rng.choice(successors).state
+
+    @staticmethod
+    def config(policy, **changes):
+        return ClusterConfig(
+            node_count=4, slots_per_node=2, scheduler=policy, fair_pools=4,
+            capacity_queues=(("prod", 0.5), ("batch", 0.3), ("adhoc", 0.2)),
+            **changes)
+
+    @pytest.mark.parametrize("policy", ("fair", "capacity"))
+    def test_walks_through_speculative_picks(self, policy):
+        # The opencloud profile puts a straggler job first: once its three
+        # sibling maps complete, its fourth map draws a speculative entry.
+        # A short trace drains, so some pool is left with that entry alone.
+        trace = synthesize(GeneratorSpec(n_tasks=30, interarrival_ms=500,
+                                         profile="opencloud"), seed=7)
+        initial = build_cluster(self.config(policy), trace)
+        n = initial.statics.workload
+        rng = random.Random(1)
+        queued = picked = 0
+        for _ in range(10):
+            state = initial
+            while True:
+                got = self.assert_agrees(policy, state)
+                queued += any(e[0] >= n for e in state.eligible_entries())
+                picked += got is not None and got >= n
+                successors = list(iter_transitions(state))
+                if not successors:
+                    break
+                state = rng.choice(successors).state
+        assert queued > 0, "no walk queued an eligible speculative entry"
+        assert picked > 0, "no walk picked a speculative entry"
+
+    @pytest.mark.parametrize("policy", ("fair", "capacity"))
+    def test_window_by_bound_and_by_count(self, policy, monkeypatch):
+        # A 1,000-task trace and a 10-entry window: the O(1) bounds settle
+        # some pool heads, the exact per-pool count the others, and the
+        # window hides some heads from the pick.
+        counted = []
+        count = GlobalState._pending_before
+
+        def counting(state, qpos):
+            before = count(state, qpos)
+            counted.append(before)
+            return before
+
+        monkeypatch.setattr(GlobalState, "_pending_before", counting)
+        trace = synthesize(GeneratorSpec(n_tasks=1_000, interarrival_ms=500,
+                                         profile="opencloud"), seed=7)
+        cap = 10
+        state = build_cluster(self.config(policy, max_queue=cap), trace)
+        rng = random.Random(20261019)
+        by_bound = 0
+        for _ in range(300):
+            before = len(counted)
+            got = self.assert_agrees(policy, state)
+            by_bound += got is not None and len(counted) == before
+            successors = list(iter_transitions(state))
+            if not successors:
+                break
+            state = rng.choice(successors).state
+        assert by_bound > 0, "no pick was settled by the O(1) bounds alone"
+        assert any(c < cap for c in counted), \
+            "the count never admitted a head that the O(1) bound could not"
+        assert any(c >= cap for c in counted), "the window never hid a head"
