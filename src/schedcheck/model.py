@@ -479,28 +479,20 @@ class GlobalState:
         cap = self.config.max_queue
         if n + len(self.extra) > cap:  # else every entry is in the window
             for q, head in enumerate(heads):
-                if head is not None and head >= cap and \
-                        not self._in_window(head):
+                if head is not None and not self._in_window(head):
                     heads[q] = None
         return heads
 
     def _in_window(self, qpos: int) -> bool:
         """Whether the pending entry at queue index qpos is among the first
-        max_queue pending entries, which iter_queue yields. Bounds settle
-        most cases in O(1): every pending entry before it has a smaller
-        queue index, and before an entry at or past the frontier come the
-        held reduces and at most one entry per position from the frontier
-        on. Only held reduces precede a held reduce. The frontier bound also
-        counts the entries that other pools took past the frontier, which
-        under capacity can fill the window's span many times over; then the
-        pools count exactly (_pending_before)."""
+        max_queue pending entries, which iter_queue yields. Before it come
+        at most the held reduces and one entry per queue index from the
+        frontier on; when that bound reaches max_queue, the pools count
+        exactly (_pending_before). The bound spares the count on most
+        heads under fair: on a 100,000-task queue with max_queue 10,000,
+        counting every head made a fair verify about 17 % slower."""
         cap = self.config.max_queue
-        if qpos < cap:
-            return True
-        held, frontier = self.held, self.frontier
-        if qpos < frontier:  # a held reduce: only held reduces precede it
-            return bisect_left(held, qpos) < cap
-        if len(held) + qpos - frontier < cap:
+        if len(self.held) + max(qpos - self.frontier, 0) < cap:
             return True
         return self._pending_before(qpos) < cap
 

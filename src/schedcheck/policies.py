@@ -24,8 +24,10 @@ runs. Either entry is the one a scan of the window would meet first among
 the pool's, so fair takes the least (running slots, queue index) over the
 pools, and capacity the head of the first under-capacity queue that has
 one, else the least head. A decision costs O(pools) plus the held reduces
-and speculative entries it reads; whether a head lies in the window takes
-O(1), or O(pools log n) once more than max_queue entries are queued.
+and speculative entries it reads. Only a queue longer than max_queue can
+hide a head from the window; then an O(1) bound admits most heads, and an
+exact count of the pending entries before a head, in O(pools log n),
+settles the rest (GlobalState._in_window).
 """
 
 from __future__ import annotations

@@ -101,6 +101,14 @@ def check_state(state):
                 p for p in order[cursor + 1:-1]
                 if state.task(base[p][2]).phase != SUBMITTED), \
                 f"pool {q}'s gone is not its consumed entries past its cursor"
+        # the pools' count of the pending entries before each queue index,
+        # which decides the window once the queue outgrows max_queue
+        before = 0
+        for qpos in range(n + len(state.extra)):
+            assert state._pending_before(qpos) == before, \
+                f"the pools miscount the pending entries before {qpos}"
+            before += qpos >= n or \
+                state.task(base[qpos][2]).phase == SUBMITTED
 
     # the speculative queue: only pending entries, none of a failed job,
     # and each speculation of a running task either queued or running

@@ -221,11 +221,15 @@ def test_criterion_7_failure_cause_profile():
     assert elapsed < 300.0
 
 
-def test_no_scaling_cliff_across_policies():
+@pytest.mark.parametrize("max_queue", [10_000, 1_000],
+                         ids=["queue-in-window", "window-binds"])
+def test_no_scaling_cliff_across_policies(max_queue):
     """On an 8,000-task trace with a standing queue (the shape of the
     benchmark's policy sweep: 8 x 2 slots, four fair pools, three capacity
     queues), a fair or capacity first-witness verify takes at most twice
-    as long as fifo's, best of 3 each."""
+    as long as fifo's, best of 3 each. With max_queue at 1,000 the queue
+    outgrows the window, so the policies must also tell which pool heads
+    lie in it."""
     t0 = time.monotonic()
     n = 8_000
     trace = synthesize(GeneratorSpec(n_tasks=n, interarrival_ms=10_000,
@@ -236,7 +240,8 @@ def test_no_scaling_cliff_across_policies():
         "#assert cluster reaches busy;\n")
     base = ClusterConfig(
         node_count=8, slots_per_node=2, deadline_factor=200.0, fair_pools=4,
-        capacity_queues=(("prod", 0.5), ("batch", 0.3), ("adhoc", 0.2)))
+        capacity_queues=(("prod", 0.5), ("batch", 0.3), ("adhoc", 0.2)),
+        max_queue=max_queue)
     best = {}
     for policy in ("fifo", "fair", "capacity"):
         initial = build_cluster(base.override(scheduler=policy), trace)
@@ -248,7 +253,8 @@ def test_no_scaling_cliff_across_policies():
             assert result.verdict == "reachable", f"{policy}: {result}"
         best[policy] = min(times)
     elapsed = time.monotonic() - t0
-    print(f"\nno scaling cliff: best of 3 verifies at {n} tasks, " +
+    print(f"\nno scaling cliff: best of 3 verifies at {n} tasks, max_queue "
+          f"{max_queue}, " +
           ", ".join(f"{p} {s:.2f}s" for p, s in best.items()) +
           f" ({elapsed:.0f}s)")
     for policy in ("fair", "capacity"):

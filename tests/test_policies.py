@@ -34,10 +34,11 @@ def assign_first(state):
                 if t.event.name.startswith("assign.")).state
 
 
-def guarded(entries, last):
-    """Yield entries[0..last], then fail if asked for one more."""
-    yield from entries[:last + 1]
-    raise AssertionError(f"select read past entry {last}")
+def unread():
+    """An eligible iterable that fails if read: fair and capacity pick from
+    the state's pools, without reading the window."""
+    raise AssertionError("select read the eligible entries")
+    yield
 
 
 class TestJobNumber:
@@ -84,12 +85,13 @@ class TestFair:
 
     def test_stops_at_first_entry_of_a_min_running_pool(self):
         # a1 runs, so pool 1 (j1) runs one slot and pool 0 (j2) none; the
-        # window is a2 (pool 1), b1 (pool 0), b2 (pool 0)
+        # window is a2 (pool 1), b1 (pool 0), b2 (pool 0), and the pick,
+        # b1, comes from the pools without reading it
         state = assign_first(activated(FIXTURES["fair_two_pools"]))
         eligible = list(state.eligible_entries())
         assert [state.statics.queue[e[0]][2] for e in eligible] == \
             ["a2", "b1", "b2"]
-        assert select("fair", guarded(eligible, 1), state) == eligible[1][0]
+        assert select("fair", unread(), state) == eligible[1][0]
 
 
 class TestCapacity:
@@ -115,13 +117,13 @@ class TestCapacity:
         assert job_number(jid) % nq == 0
 
     def test_stops_at_first_entry_of_first_under_capacity_queue(self):
-        # nothing runs; the window is a1 (queue 1), b1 (queue 0), a2, b2
+        # nothing runs; the window is a1 (queue 1), b1 (queue 0), a2, b2,
+        # and the pick, b1, comes from the pools without reading it
         state = activated(FIXTURES["capacity_two_queues"])
         eligible = list(state.eligible_entries())
         assert [state.statics.queue[e[0]][2] for e in eligible] == \
             ["a1", "b1", "a2", "b2"]
-        assert select("capacity", guarded(eligible, 1), state) == \
-            eligible[1][0]
+        assert select("capacity", unread(), state) == eligible[1][0]
 
     def test_fallback_when_all_at_capacity(self):
         fx = FIXTURES["capacity_two_queues"]
@@ -132,11 +134,11 @@ class TestCapacity:
         eligible = list(state.eligible_entries())
         assert eligible  # two tasks still queued
         # no free slot means the scheduler won't ask, but the policy itself
-        # must still answer deterministically, from the first entry alone
+        # must still answer deterministically: the first entry, found from
+        # the pools without reading the window
         assert all(c.running_slots >= c.entitled_slots for c in
                    policies_reference.capacity_states(state).values())
-        assert select("capacity", guarded(eligible, 0), state) == \
-            eligible[0][0]
+        assert select("capacity", unread(), state) == eligible[0][0]
 
 
 class TestAgainstListBasedReference:
@@ -215,9 +217,9 @@ class TestAgainstListBasedReference:
 
     @pytest.mark.parametrize("policy", ("fair", "capacity"))
     def test_window_by_bound_and_by_count(self, policy, monkeypatch):
-        # A 1,000-task trace and a 10-entry window: the O(1) bounds settle
-        # some pool heads, the exact per-pool count the others, and the
-        # window hides some heads from the pick.
+        # A 1,000-task trace and a 10-entry window: the O(1) bound settles
+        # some picks alone, the exact per-pool count admits some pool heads
+        # that the bound cannot, and the window hides some heads.
         counted = []
         count = GlobalState._pending_before
 
@@ -241,7 +243,7 @@ class TestAgainstListBasedReference:
             if not successors:
                 break
             state = rng.choice(successors).state
-        assert by_bound > 0, "no pick was settled by the O(1) bounds alone"
+        assert by_bound > 0, "no pick was settled by the O(1) bound alone"
         assert any(c < cap for c in counted), \
             "the count never admitted a head that the O(1) bound could not"
         assert any(c >= cap for c in counted), "the window never hid a head"
