@@ -30,7 +30,15 @@ Goal atoms compare the metrics of `rates.compute_rates` (plus the raw
 counters listed there). Equality on the fractional rate metrics is read as
 "reaches at least", since a run sweeps through rate values and exact float
 equality would make most goals vacuously unreachable; equality on the
-integer metrics stays exact.
+integer metrics, and any comparison with a metric on the right, stays
+exact.
+
+Goals are compiled where a GoalExpr is made (_compile): its atoms become
+one test that reads the state's counters and workload through the
+per-metric readers of `rates.READERS`, so a goal test builds no
+RateMetrics. The same step notes the atoms that the metric ranges alone
+decide (`rates.RANGES`, _decided): `GoalExpr.vacuous` lists them, and the
+command line warns about each.
 """
 
 from __future__ import annotations
@@ -39,21 +47,22 @@ import gc
 import operator
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import PropertySyntaxError, UnknownTask
 from .model import (PHASE_BY_NAME, GlobalState, StepRecord, WitnessTrace,
                     iter_transitions, make_witness)
-from .rates import compute_rates
+# compute_rates is no longer called here, but perfbench/tracing.py times it
+# through this module's binding too
+from .rates import RANGES, READERS, compute_rates
 
 STRATEGIES = ("dfs", "dfs-sym")
 
-_INT_METRICS = frozenset({"completedscheduled", "workload", "trackercount"})
+_METRICS = frozenset(READERS)
 _RATE_METRICS = frozenset({"schedulabilityrate", "fairnessrate",
                            "resourcedeadlockrate", "localityrate",
                            "failurerate"})
-_METRICS = _INT_METRICS | _RATE_METRICS
 # in parse order: "<=" must be tried before "<"
 _CMP = {"==": operator.eq, "!=": operator.ne, "<=": operator.le,
         ">=": operator.ge, "<": operator.lt, ">": operator.gt}
@@ -68,20 +77,82 @@ class Atom(NamedTuple):
 
 @dataclass(frozen=True)
 class GoalExpr:
-    """A conjunction of metric atoms; reachable iff some state satisfies all."""
+    """A conjunction of metric atoms; reachable iff some state satisfies all.
+
+    Made once, tested on every state: construction compiles the atoms into
+    the one test that holds runs, and lists in `vacuous` each atom that the
+    metric ranges decide, as (atom, True) if every state satisfies it and
+    (atom, False) if none can."""
     name: str
     atoms: tuple
+    _test: object = field(init=False, repr=False, compare=False)
+    vacuous: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tested = [_as_tested(*atom) for atom in self.atoms]
+        object.__setattr__(self, "_test", _compile(tested))
+        decided = [(Atom(*atom), _decided(*read))
+                   for atom, read in zip(self.atoms, tested)]
+        object.__setattr__(self, "vacuous", tuple(
+            (atom, verdict) for atom, verdict in decided
+            if verdict is not None))
 
     def holds(self, state: GlobalState) -> bool:
-        rates = compute_rates(state)
-        for metric, op, rhs in self.atoms:
-            if isinstance(rhs, str):
-                rhs = getattr(rates, rhs)
-            elif op == "==" and metric in _RATE_METRICS:
-                op = ">="
-            if not _CMP[op](getattr(rates, metric), rhs):
+        return self._test(state)
+
+
+def _as_tested(metric: str, op: str, rhs) -> tuple:
+    """The atom as a goal tests it: rate == number reads as >= (see
+    above)."""
+    if op == "==" and metric in _RATE_METRICS and not isinstance(rhs, str):
+        op = ">="
+    return metric, op, rhs
+
+
+def _reader(metric: str):
+    try:
+        return READERS[metric]
+    except KeyError:
+        raise PropertySyntaxError(f"unknown metric {metric!r}") from None
+
+
+def _compile(atoms: list):
+    """The test of a conjunction of tested atoms (_as_tested), a function
+    of a state: it reads each side of each atom from the state's counters
+    and workload through rates.READERS."""
+    checks = []
+    for metric, op, rhs in atoms:
+        if isinstance(rhs, str):
+            read_rhs = _reader(rhs)
+        else:
+            read_rhs = lambda _c, _n, value=rhs: value
+        checks.append((_reader(metric), _CMP[op], read_rhs))
+
+    def test(state: GlobalState) -> bool:
+        c = state.counters
+        n = state.statics.workload
+        for read, cmp, read_rhs in checks:
+            if not cmp(read(c, n), read_rhs(c, n)):
                 return False
         return True
+    return test
+
+
+def _decided(metric: str, op: str, rhs) -> bool | None:
+    """True if every state satisfies the tested atom, False if none can,
+    judged from rates.RANGES alone (a number reads as the range [rhs,
+    rhs]); None if the ranges leave it open."""
+    lo, hi = RANGES[metric]
+    rlo, rhi = RANGES[rhs] if isinstance(rhs, str) else (rhs, rhs)
+    always, never = {
+        ">=": (lo >= rhi, hi < rlo),
+        ">": (lo > rhi, hi <= rlo),
+        "<=": (hi <= rlo, lo > rhi),
+        "<": (hi < rlo, lo >= rhi),
+        "==": (lo == hi == rlo == rhi, hi < rlo or rhi < lo),
+        "!=": (hi < rlo or rhi < lo, lo == hi == rlo == rhi),
+    }[op]
+    return True if always else False if never else None
 
 
 class TaskAssertion(NamedTuple):

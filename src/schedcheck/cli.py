@@ -100,10 +100,21 @@ def _first_goal(args, workload, command: str) -> checker.GoalExpr:
     raise SchedCheckError(f"{command} needs a 'cluster reaches' assertion")
 
 
+def _warn_vacuous(goal: checker.GoalExpr) -> None:
+    """One stderr line per atom of the goal that the metric ranges alone
+    decide (GoalExpr.vacuous); the verdict is unaffected."""
+    for (metric, op, rhs), always in goal.vacuous:
+        value = rhs if isinstance(rhs, str) else f"{rhs:g}"
+        print(f"warning: goal {goal.name}: {metric} {op} {value} holds in "
+              f"{'every' if always else 'no'} state, judged from the metric "
+              f"ranges alone", file=sys.stderr)
+
+
 def _verify_properties(args, initial, obligations) -> list:
     rows = []
     for prop in obligations:
         if isinstance(prop, checker.GoalExpr):
+            _warn_vacuous(prop)
             label = f"cluster reaches {prop.name}"
             check = checker.verify
         else:
@@ -212,6 +223,7 @@ def cmd_whatif(args) -> int:
             except ValueError:
                 raise SchedCheckError(f"--sweep {args.sweep} takes integer "
                                       f"values, got {args.values!r}") from None
+        _warn_vacuous(goal)
         reports = whatif.sweep(config, args.sweep, values, workload, goal,
                                strategy=args.strategy,
                                state_budget=args.state_budget,
@@ -220,6 +232,7 @@ def cmd_whatif(args) -> int:
         if not args.scenario:
             raise SchedCheckError("--scenario FILE or --sweep required")
         scenario = _parse_scenario_file(args.scenario, config)
+        _warn_vacuous(goal)
         reports = [whatif.run(scenario, workload, goal,
                               strategy=args.strategy,
                               state_budget=args.state_budget,

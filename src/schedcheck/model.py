@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -170,7 +170,10 @@ class Counters(NamedTuple):
     free_slots: int = 0
 
 
-_COUNTER_AT = {field: i for i, field in enumerate(Counters._fields)}
+# Counters fields by index: a _Builder keeps the counters as a list, which
+# the transitions add to in place
+(_TRACKERS, _COMPLETED, _LOCAL, _NONLOCAL, _SCHEDULED, _FIN_WITHIN,
+ _FIN_AFTER, _FAILED, _SERVED_FAIR, _DEADLOCK, _FREE) = range(11)
 
 
 # Fingerprint keys are drawn from random.Random(_KEY_SEED), 16 bytes a key;
@@ -667,7 +670,12 @@ class _Builder:
     It keeps the task and job terms of the fingerprint sum (see
     GlobalState.fingerprint) exact: writing position i adds K_i times the
     change of its digest, in the plain and the symmetric accumulator for a
-    task and in the one job accumulator for a job."""
+    task and in the one job accumulator for a job. The counters are a list
+    (indexed by _TRACKERS .. _FREE) until the state is built.
+
+    Transitions write records by position, tuple.__new__ over the record's
+    fields in order, not by NamedTuple._replace, which costs about four
+    times as much a record."""
 
     def __init__(self, state: GlobalState):
         self.src = state
@@ -678,7 +686,7 @@ class _Builder:
         self.frontier = state.frontier
         self.extra = state.extra
         self.clock = state.clock
-        self.counters = state.counters
+        self.counters = list(state.counters)
         self.namenode_on = state.namenode_on
         self.jobtracker_on = state.jobtracker_on
         self.running = state.running
@@ -688,13 +696,18 @@ class _Builder:
         self.jh = state._jh
         self.pools = state.pools
         self.changed = []
+        self.taken = []  # positions that left SUBMITTED, in write order
 
     def set_task(self, i: int, rt: TaskRT):
-        """Set the record of the task at position i."""
+        """Set the record of the task at position i. A task that leaves
+        SUBMITTED here goes into `taken`, from which finish moves the
+        queue fields."""
         st = self.src.statics
-        old = table_get(self.tasks, i)
+        old = self.tasks[i >> 10][(i >> 5) & 31][i & 31]
         if old.phase != rt.phase:
             self.changed.append((st.tids[i], old.phase, rt.phase))
+            if old.phase == SUBMITTED:
+                self.taken.append(i)
         key, named = st.keys[i] or st.key(i), st.named_nodes
         self.th_plain += key * (hash(rt) - hash(old))
         self.th_sym += key * (hash(_sym_rt(rt, named))
@@ -717,7 +730,7 @@ class _Builder:
             raise SlotConflict(f"slot {node_i}/{slot_k} already occupied")
         slots = list(node.slots)
         slots[slot_k] = occupant
-        self.nodes[node_i] = NodeRT(node.on, tuple(slots))
+        self.nodes[node_i] = tuple.__new__(NodeRT, (node.on, tuple(slots)))
         pools = self.pools
         if pools is not None and (occupant is not None or old is not None):
             st = self.src.statics
@@ -729,19 +742,10 @@ class _Builder:
             self.pools = tuple.__new__(
                 Pools, (tuple(running), pools.cursor, pools.held, pools.gone))
 
-    def bump(self, **deltas):
-        c = list(self.counters)
-        for field, delta in deltas.items():
-            c[_COUNTER_AT[field]] += delta
-        self.counters = tuple.__new__(Counters, c)
-
     def finish(self) -> GlobalState:
         # only an entry that left the queue can move the queue fields
-        idx_of = self.src.statics.idx_of
-        taken = [idx_of[tid] for tid, old, _new in self.changed
-                 if old == SUBMITTED]
-        if taken:
-            self._advance_queue(taken)
+        if self.taken:
+            self._advance_queue(self.taken)
         tasks = self.tasks
         state = self._build()
         # Deadlock flags go to the blocked tasks of every job on a cycle of
@@ -755,8 +759,10 @@ class _Builder:
         if not to_flag:
             return state
         for p in to_flag:
-            self.set_task(p, table_get(tasks, p)._replace(dl=1))
-        self.bump(n_deadlock=len(to_flag))
+            # dl is a record's last field
+            self.set_task(p, tuple.__new__(TaskRT, table_get(tasks, p)[:-1]
+                                           + (1,)))
+        self.counters[_DEADLOCK] += len(to_flag)
         # flags never free slots, so no second detection pass
         return self._build()
 
@@ -796,9 +802,9 @@ class _Builder:
         return GlobalState(
             self.src.statics, self.src.config, tuple(self.nodes), self.tasks,
             self.jobs, self.held, self.frontier, self.extra, self.clock,
-            self.counters, self.namenode_on, self.jobtracker_on, self.running,
-            self.sched_pending, self.th_sym, self.th_plain, self.jh,
-            self.pools)
+            tuple.__new__(Counters, self.counters), self.namenode_on,
+            self.jobtracker_on, self.running, self.sched_pending, self.th_sym,
+            self.th_plain, self.jh, self.pools)
 
 
 def _advance(tasks, kind, order, cursor: int, held: tuple, taken: list):
@@ -924,7 +930,9 @@ def _activate_tt(state: GlobalState, i: int) -> Transition:
     b = _Builder(state)
     slots = state.nodes[i].slots
     b.nodes[i] = NodeRT(True, slots)
-    b.bump(trackercount=1, free_slots=len(slots))
+    c = b.counters
+    c[_TRACKERS] += 1
+    c[_FREE] += len(slots)
     return Transition(Event(f"activate_tt.{i}"), b.finish(), ())
 
 
@@ -932,17 +940,22 @@ def _assign(state: GlobalState, arg) -> Transition:
     """The base entry at qpos to the first free slot of node i. A base
     entry's queue index is its task's position."""
     qpos, i = arg
-    tid = state.statics.tids[qpos]
+    st = state.statics
     k = state.nodes[i].slots.index(None)
     b = _Builder(state)
-    rt = table_get(state.tasks, qpos)
-    b.set_task(qpos, rt._replace(phase=SCHEDULED, node=i, slot=k))
+    _phase, start, finish, _node, _slot, local, cause, spec, copies, dl = \
+        table_get(state.tasks, qpos)
+    b.set_task(qpos, tuple.__new__(TaskRT, (
+        SCHEDULED, start, finish, i, k, local, cause, spec, copies, dl)))
     b.set_slot(i, k, qpos)
-    pending = list(state.sched_pending)
-    insort(pending, qpos, key=state.statics.rank.__getitem__)
-    b.sched_pending = tuple(pending)
-    b.bump(n_scheduled=1, free_slots=-1)
-    return Transition(Event(f"assign.{tid}.{i}"), b.finish(), tuple(b.changed))
+    pending, rank = state.sched_pending, st.rank
+    at = bisect_right(pending, rank[qpos], key=rank.__getitem__)
+    b.sched_pending = pending[:at] + (qpos,) + pending[at:]
+    c = b.counters
+    c[_SCHEDULED] += 1
+    c[_FREE] -= 1
+    return Transition(Event(f"assign.{st.tids[qpos]}.{i}"), b.finish(),
+                      tuple(b.changed))
 
 
 def _assign_spec(state: GlobalState, arg) -> Transition:
@@ -954,11 +967,14 @@ def _assign_spec(state: GlobalState, arg) -> Transition:
     p = state.extra[k_extra]
     k = state.nodes[i].slots.index(None)
     b = _Builder(state)
-    rt = table_get(state.tasks, p)
+    phase, start, finish, node, slot, local, cause, spec, copies, dl = \
+        table_get(state.tasks, p)
     b.extra = state.extra[:k_extra] + state.extra[k_extra + 1:]
-    b.set_task(p, rt._replace(copies=rt.copies + ((i, k, state.clock),)))
+    b.set_task(p, tuple.__new__(TaskRT, (
+        phase, start, finish, node, slot, local, cause, spec,
+        copies + ((i, k, state.clock),), dl)))
     b.set_slot(i, k, st.workload + p)
-    b.bump(free_slots=-1)
+    b.counters[_FREE] -= 1
     return Transition(Event(f"assign_spec.{st.tids[p]}.{i}"), b.finish(),
                       tuple(b.changed))
 
@@ -968,19 +984,29 @@ def _execute(state: GlobalState, p: int) -> Transition:
     against the preferred node."""
     cfg = state.config
     st = state.statics
-    rt = table_get(state.tasks, p)
-    start = max(state.clock, st.submit[p])
+    _phase, _start, finish, node, slot, _local, cause, spec, copies, dl = \
+        table_get(state.tasks, p)
+    submit = st.submit[p]
+    start = max(state.clock, submit)
     end = start + min(st.duration[p], cfg.task_timeout_ms)
     pref = st.preferred[p]
-    local = 1 if (pref is None or pref == rt.node) else 0
+    local = 1 if (pref is None or pref == node) else 0
     b = _Builder(state)
-    b.set_task(p, rt._replace(phase=PROCESSED, start=start, local=local))
-    b.sched_pending = tuple(q for q in state.sched_pending if q != p)
-    running = list(state.running)
-    insort(running, (end, st.rank[p], p))
-    b.running = tuple(running)
-    b.bump(completedscheduled=1, locality=local, nonlocality=1 - local,
-           n_served_fair=1 if start - st.submit[p] <= cfg.fairness_wait_ms else 0)
+    b.set_task(p, tuple.__new__(TaskRT, (
+        PROCESSED, start, finish, node, slot, local, cause, spec, copies, dl)))
+    pending = state.sched_pending
+    at = pending.index(p)
+    b.sched_pending = pending[:at] + pending[at + 1:]
+    running = state.running
+    entry = (end, st.rank[p], p)
+    at = bisect_right(running, entry)
+    b.running = running[:at] + (entry,) + running[at:]
+    c = b.counters
+    c[_COMPLETED] += 1
+    c[_LOCAL] += local
+    c[_NONLOCAL] += 1 - local
+    if start - submit <= cfg.fairness_wait_ms:
+        c[_SERVED_FAIR] += 1
     return Transition(Event(f"execute.{st.tids[p]}"), b.finish(),
                       tuple(b.changed))
 
@@ -1002,22 +1028,27 @@ def _cascade(b: _Builder, j: int, skip: int):
     """A failed map fails its job, at position j; all not-yet-finished
     sibling tasks fail. `skip` is the failed map's position."""
     st = b.src.statics
+    c = b.counters
     for i in st.job_tasks[j]:
         if i == skip:
             continue
         rt = table_get(b.tasks, i)
-        if rt.phase in (FINISHED_WITHIN_DEADLINE, FINISHED_AFTER_DEADLINE, FAILED):
+        phase, start, _finish, node, slot, local, _cause, spec, _copies, dl = rt
+        if phase in (FINISHED_WITHIN_DEADLINE, FINISHED_AFTER_DEADLINE, FAILED):
             continue
         freed = _free_task_slots(b, rt)
-        if rt.phase == SCHEDULED:
+        if phase == SCHEDULED:
             b.sched_pending = tuple(q for q in b.sched_pending if q != i)
-        elif rt.phase == PROCESSED:
+        elif phase == PROCESSED:
             b.running = tuple(e for e in b.running if e[2] != i)
-        b.set_task(i, rt._replace(phase=FAILED, cause=CAUSE_CASCADE,
-                                  finish=b.clock, copies=()))
-        b.bump(n_failed=1, free_slots=freed)
+        b.set_task(i, tuple.__new__(TaskRT, (
+            FAILED, start, b.clock, node, slot, local, CAUSE_CASCADE, spec,
+            (), dl)))
+        c[_FAILED] += 1
+        c[_FREE] += freed
     # stale speculative entries for this job
-    b.extra = tuple(p for p in b.extra if st.job_of[p] != j)
+    if b.extra:
+        b.extra = tuple(p for p in b.extra if st.job_of[p] != j)
 
 
 def _speculation_scan(b: _Builder):
@@ -1025,25 +1056,35 @@ def _speculation_scan(b: _Builder):
     speculation_factor times the mean duration of finished siblings of the
     same kind. No sibling estimate means no speculation."""
     cfg = b.src.config
-    if cfg.max_speculative == 0:
+    limit = cfg.max_speculative
+    if limit == 0:
         return
+    factor, clock = cfg.speculation_factor, b.clock
     st = b.src.statics
+    job_of, kind = st.job_of, st.kind
+    # set_task below writes only the record of the task in hand, which the
+    # loop does not read again, so the tables it started from serve it
+    tasks, jobs = b.tasks, b.jobs
     for _end, _rank, i in b.running:
-        rt = b.tasks[i >> 10][(i >> 5) & 31][i & 31]
-        if rt.spec_count >= cfg.max_speculative:
+        rt = tasks[i >> 10][(i >> 5) & 31][i & 31]
+        if rt.spec_count >= limit:
             continue
-        j = st.job_of[i]
-        job = b.jobs[j >> 10][(j >> 5) & 31][j & 31]
-        if st.kind[i] == CODE_MAP:
-            cnt, tot = job.fin_maps, job.fin_map_dur
+        j = job_of[i]
+        fin_maps, fin_map_dur, fin_reds, fin_red_dur, _failed = \
+            jobs[j >> 10][(j >> 5) & 31][j & 31]
+        if kind[i] == CODE_MAP:
+            cnt, tot = fin_maps, fin_map_dur
         else:
-            cnt, tot = job.fin_reds, job.fin_red_dur
+            cnt, tot = fin_reds, fin_red_dur
         if cnt == 0:
             continue
         estimate = tot / cnt
-        if b.clock - rt.start > cfg.speculation_factor * estimate:
+        if clock - rt.start > factor * estimate:
             b.extra += (i,)
-            b.set_task(i, rt._replace(spec_count=rt.spec_count + 1))
+            phase, start, finish, node, slot, local, cause, spec, copies, dl = rt
+            b.set_task(i, tuple.__new__(TaskRT, (
+                phase, start, finish, node, slot, local, cause, spec + 1,
+                copies, dl)))
 
 
 def _complete(state: GlobalState, _arg) -> Transition:
@@ -1054,44 +1095,50 @@ def _complete(state: GlobalState, _arg) -> Transition:
     cfg = state.config
     ji = st.job_of[ti]
     rt = table_get(state.tasks, ti)
+    _phase, start, _finish, node, slot, local, rt_cause, spec, _copies, dl = rt
     dur = st.duration[ti]
     b = _Builder(state)
     b.clock = end
     b.running = state.running[1:]
-    freed = _free_task_slots(b, rt)
-    b.bump(free_slots=freed)
+    c = b.counters
+    c[_FREE] += _free_task_slots(b, rt)
 
     if dur > cfg.task_timeout_ms:
-        cause = CAUSE_SPECULATIVE if rt.spec_count > 0 else CAUSE_TIMEOUT
-    elif end > st.deadline[ti] and rt.start > st.deadline[ti]:
+        cause = CAUSE_SPECULATIVE if spec > 0 else CAUSE_TIMEOUT
+    elif end > st.deadline[ti] and start > st.deadline[ti]:
         cause = CAUSE_QUEUEWAIT  # the queue wait alone consumed the deadline
     else:
         cause = CAUSE_NONE
     if cause != CAUSE_NONE:
-        b.set_task(ti, rt._replace(phase=FAILED, cause=cause, finish=end,
-                                   copies=()))
-        b.bump(n_failed=1)
+        b.set_task(ti, tuple.__new__(TaskRT, (
+            FAILED, start, end, node, slot, local, cause, spec, (), dl)))
+        c[_FAILED] += 1
         event = Event(f"fail.{st.tids[ti]}")
         if st.kind[ti] == CODE_MAP:
             job = table_get(b.jobs, ji)
             if not job.failed:
-                b.set_job(ji, job._replace(failed=1))
+                # failed is a job record's last field
+                b.set_job(ji, tuple.__new__(JobRT, job[:-1] + (1,)))
             _cascade(b, ji, ti)
     else:
         if end <= st.deadline[ti]:
             phase = FINISHED_WITHIN_DEADLINE
-            b.bump(n_fin_within=1)
+            c[_FIN_WITHIN] += 1
         else:
             phase = FINISHED_AFTER_DEADLINE
-            b.bump(n_fin_after=1)
-        b.set_task(ti, rt._replace(phase=phase, finish=end, copies=()))
-        job = table_get(b.jobs, ji)
+            c[_FIN_AFTER] += 1
+        b.set_task(ti, tuple.__new__(TaskRT, (
+            phase, start, end, node, slot, local, rt_cause, spec, (), dl)))
+        fin_maps, fin_map_dur, fin_reds, fin_red_dur, failed = \
+            table_get(b.jobs, ji)
         if st.kind[ti] == CODE_MAP:
-            b.set_job(ji, job._replace(fin_maps=job.fin_maps + 1,
-                                       fin_map_dur=job.fin_map_dur + dur))
+            fin_maps += 1
+            fin_map_dur += dur
         else:
-            b.set_job(ji, job._replace(fin_reds=job.fin_reds + 1,
-                                       fin_red_dur=job.fin_red_dur + dur))
+            fin_reds += 1
+            fin_red_dur += dur
+        b.set_job(ji, tuple.__new__(JobRT, (
+            fin_maps, fin_map_dur, fin_reds, fin_red_dur, failed)))
         event = Event(f"complete.{st.tids[ti]}")
     _speculation_scan(b)
     return Transition(event, b.finish(), tuple(b.changed))

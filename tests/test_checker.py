@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import operator
 import random
 import re
 from types import GeneratorType, SimpleNamespace
@@ -17,6 +19,7 @@ from schedcheck.config import ClusterConfig
 from schedcheck.errors import PropertySyntaxError, UnknownTask
 from schedcheck.model import (PHASE_BY_NAME, GlobalState, build_cluster,
                               canonical_key, iter_transitions, replay)
+from schedcheck.rates import RateMetrics, compute_rates
 from schedcheck.trace import GeneratorSpec, synthesize
 
 GOAL0 = GoalExpr("goal0", (Atom("completedscheduled", "==", "workload"),
@@ -75,18 +78,120 @@ class TestParseProperties:
     def test_rate_equality_becomes_at_least(self):
         _, (goal,) = parse_properties(
             "#define g schedulabilityrate == 50;\n#assert cluster reaches g;\n")
+        # a state whose rate overshoots 50 must still satisfy the goal: the
+        # end of single_map's first run, where its one task finished in time
+        state = build("single_map")
+        while (t := next(iter_transitions(state), None)) is not None:
+            state = t.state
+        assert compute_rates(state).schedulabilityrate == 100.0
+        assert goal.holds(state)
+        assert compute_rates(build("single_map")).schedulabilityrate == 0.0
+        assert not goal.holds(build("single_map"))
 
-        class FakeRates:
-            schedulabilityrate = 75.0
 
-        # a state whose rate overshoots 50 must still satisfy the goal
-        import schedcheck.checker as checker_mod
-        orig = checker_mod.compute_rates
-        checker_mod.compute_rates = lambda s: FakeRates()
-        try:
-            assert goal.holds(object())
-        finally:
-            checker_mod.compute_rates = orig
+_METRICS = tuple(f.name for f in dataclasses.fields(RateMetrics))
+_OPS = {"==": operator.eq, "!=": operator.ne, "<=": operator.le,
+        ">=": operator.ge, "<": operator.lt, ">": operator.gt}
+
+
+def _by_rates(rates, metric, op, rhs):
+    """One atom read off a RateMetrics, the way goals were tested before
+    they were compiled: rate == number reads as >=, a metric on the right
+    is compared exactly."""
+    if isinstance(rhs, str):
+        rhs = getattr(rates, rhs)
+    elif op == "==" and isinstance(getattr(rates, metric), float):
+        op = ">="
+    return _OPS[op](getattr(rates, metric), rhs)
+
+
+class TestCompiledGoals:
+    def test_compiled_test_equals_a_compute_rates_reading(self):
+        """Every metric x every operator x right-hand sides 0, 50, 100 and
+        each metric name, alone and in random conjunctions, on every state
+        of seeded random walks: the compiled test gives what compute_rates
+        gives, and an atom flagged vacuous has its flagged truth value."""
+        atoms = [Atom(m, op, rhs) for m in _METRICS for op in _OPS
+                 for rhs in (0.0, 50.0, 100.0) + _METRICS]
+        singles = [GoalExpr("g", (atom,)) for atom in atoms]
+        rng = random.Random(14)
+        conjunctions = [rng.sample(range(len(atoms)), rng.randint(2, 3))
+                        for _ in range(200)]
+        conj_goals = [GoalExpr("c", tuple(atoms[k] for k in ks))
+                      for ks in conjunctions]
+        flagged = [(k, goal.vacuous[0][1])
+                   for k, goal in enumerate(singles) if goal.vacuous]
+        assert flagged
+        states = 0
+        for _ in range(40):
+            init = build_cluster(*random_workload(rng))
+            for _walk in range(3):
+                state = init
+                while state is not None:
+                    states += 1
+                    rates = compute_rates(state)
+                    want = [_by_rates(rates, *atom) for atom in atoms]
+                    assert [g.holds(state) for g in singles] == want
+                    assert [g.holds(state) for g in conj_goals] == [
+                        all(want[k] for k in ks) for ks in conjunctions]
+                    assert all(want[k] == truth for k, truth in flagged)
+                    succs = [t.state for t in iter_transitions(state)]
+                    state = rng.choice(succs) if succs else None
+        assert states > 1_000
+
+    def test_unknown_metric_in_a_goal_made_directly(self):
+        with pytest.raises(PropertySyntaxError):
+            GoalExpr("g", (("bogus", ">=", 1.0),))
+
+
+def _goal(text: str) -> GoalExpr:
+    _, (goal,) = parse_properties(f"#define g {text};\n"
+                                  "#assert cluster reaches g;\n")
+    return goal
+
+
+class TestVacuousAtoms:
+    """GoalExpr.vacuous flags the atoms that the metric ranges decide:
+    rates lie in [0, 100], counts are >= 0 and the workload is >= 1."""
+
+    @pytest.mark.parametrize("text, always", [
+        ("failurerate == 0", True),        # rate == reads as >=
+        ("localityrate >= 0", True),
+        ("fairnessrate <= 100", True),
+        ("failurerate != 150", True),
+        ("workload > 0", True),
+        ("trackercount >= 0", True),
+        ("schedulabilityrate > 100", False),
+        ("resourcedeadlockrate == 101", False),
+        ("failurerate < 0", False),
+        ("workload < 1", False),
+        ("completedscheduled < 0", False),
+    ])
+    def test_flagged(self, text, always):
+        goal = _goal(text)
+        assert goal.vacuous == ((goal.atoms[0], always),)
+
+    @pytest.mark.parametrize("text", [
+        "failurerate == 50", "failurerate >= 50", "failurerate != 50",
+        "schedulabilityrate < 100", "localityrate > 0", "workload > 1",
+        "workload == 1", "completedscheduled >= 5", "trackercount > 0",
+        "completedscheduled == workload", "failurerate > localityrate",
+        "failurerate == localityrate",
+    ])
+    def test_not_flagged(self, text):
+        assert _goal(text).vacuous == ()
+
+    def test_each_atom_of_a_conjunction_is_judged(self):
+        goal = _goal("completedscheduled == workload && workload > 0 "
+                     "&& failurerate > 100")
+        assert goal.vacuous == ((Atom("workload", ">", 0.0), True),
+                                (Atom("failurerate", ">", 100.0), False))
+
+    def test_flags_leave_verdicts_alone(self):
+        init = build("map_reduce_gate")
+        assert verify(init, _goal("workload > 0")).verdict == "reachable"
+        assert verify(init, _goal("failurerate > 100")).verdict == \
+            "unreachable"
 
 
 class TestVerify:

@@ -178,6 +178,56 @@ class TestFirstGoalCommands:
         assert main(args) == 3
 
 
+class TestVacuousWarnings:
+    """An atom that the metric ranges alone decide gets one stderr warning
+    per checked goal; verdicts, exit codes and reports stay as they were."""
+
+    def test_verify_warns_once_per_flagged_atom(self, tmp_path, capsys):
+        config, trace = write_fixture(tmp_path, "map_reduce_gate")
+        out = tmp_path / "report.json"
+        code = main(["verify", "--config", config, "--trace", trace,
+                     "--properties", props(
+                         tmp_path,
+                         "#define g completedscheduled == workload && "
+                         "workload > 0 && failurerate >= 0;\n"
+                         "#define bad failurerate > 100;\n"
+                         "#assert cluster reaches g;\n"
+                         "#assert cluster reaches bad;\n"),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: goal g: workload > 0 holds in every state, judged "
+            "from the metric ranges alone",
+            "warning: goal g: failurerate >= 0 holds in every state, judged "
+            "from the metric ranges alone",
+            "warning: goal bad: failurerate > 100 holds in no state, judged "
+            "from the metric ranges alone"]
+        report = json.loads(out.read_text())
+        assert [p["verdict"] for p in report["properties"]] == \
+            ["reachable", "unreachable"]
+        assert "warning" not in out.read_text()
+
+    def test_no_warning_without_a_flagged_atom(self, tmp_path, capsys):
+        config, trace = write_fixture(tmp_path, "map_reduce_gate")
+        code = main(["verify", "--config", config, "--trace", trace,
+                     "--properties", props(
+                         tmp_path,
+                         "#define g completedscheduled == workload;\n"
+                         "#assert cluster reaches g;\n")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+    def test_whatif_warns_for_its_goal(self, tmp_path, capsys):
+        config, trace = write_fixture(tmp_path, "two_jobs_fifo")
+        code = main(["whatif", "--config", config, "--trace", trace,
+                     "--properties", props(tmp_path, GOAL0_PROPS),
+                     "--sweep", "nodes", "--values", "2,4"])
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: goal goal0: workload > 0 holds in every state, judged "
+            "from the metric ranges alone"]
+
+
 class TestWhatif:
     def test_scenario_file(self, tmp_path, capsys):
         config, trace = write_fixture(tmp_path, "timeout_cascade")

@@ -11,14 +11,15 @@ from fixtures import FIXTURES, mk_trace, random_workload, rec
 
 from schedcheck.config import ClusterConfig
 from schedcheck.errors import EmptyWorkload
-from schedcheck.model import (CAUSE_CASCADE, CAUSE_NAMES, CAUSE_QUEUEWAIT,
-                              CAUSE_SPECULATIVE, CAUSE_TIMEOUT, FAILED,
+from schedcheck.model import (_NODES_KEY, _SCALAR_KEY, CAUSE_CASCADE,
+                              CAUSE_NAMES, CAUSE_QUEUEWAIT, CAUSE_SPECULATIVE,
+                              CAUSE_TIMEOUT, DEFAULT_JOB, DEFAULT_RT, FAILED,
                               FINISHED_AFTER_DEADLINE,
                               FINISHED_WITHIN_DEADLINE, PROCESSED, SCHEDULED,
                               SUBMITTED, WAITING_RESOURCES, TaskRT, _Builder,
-                              _sym_rt, build_cluster, canonical_key,
-                              iter_transitions, replay, terminal_summary,
-                              wait_for_graph)
+                              _node_view, _scalar_key, _sym_rt, build_cluster,
+                              canonical_key, iter_transitions, replay,
+                              table_records, terminal_summary, wait_for_graph)
 
 
 def first_run(state, limit=100_000):
@@ -242,6 +243,39 @@ class TestOutcomes:
                     stack.append(t.state)
         assert saw_copy
 
+    @pytest.mark.parametrize("factor, siblings, elapsed, copied", [
+        # estimate 45,001.5, so 2 x estimate is exactly 90,003
+        (2.0, (45_001, 45_002), 90_003, False),
+        (2.0, (45_001, 45_002), 90_004, True),
+        # estimate 135,005 / 3: 1.2 x estimate is 54,002 in exact
+        # arithmetic, but the float test reads 54,001.99999999999 and so
+        # copies at 54,002 (elapsed x 3 > 1.2 x 135,005 would not)
+        (1.2, (45_001, 45_002, 45_002), 54_001, False),
+        (1.2, (45_001, 45_002, 45_002), 54_002, True),
+    ])
+    def test_speculation_boundary(self, factor, siblings, elapsed, copied):
+        """A straggler is copied once its elapsed time exceeds
+        speculation_factor x the mean duration of its finished siblings,
+        taken as the float tot / cnt, and not at equality. Every task starts
+        at 0; the other job's one map completes at `elapsed`, and the scan
+        of that completion decides."""
+        records = [rec(f"m{k}", "j1", "map", 0, d)
+                   for k, d in enumerate(siblings)]
+        records += [rec("slow", "j1", "map", 0, 200_000),
+                    rec("x", "j2", "map", 0, elapsed)]
+        config = ClusterConfig(node_count=len(records), slots_per_node=1,
+                               speculation_factor=factor)
+        state = build_cluster(config, mk_trace(records))
+        while True:
+            t = next(iter_transitions(state))
+            state = t.state
+            if t.event.name == "complete.x":
+                break
+        assert state.clock == elapsed == elapsed - state.task("slow").start
+        assert state.task("slow").spec_count == int(copied)
+        slow = state.statics.idx_of["slow"]
+        assert state.extra == ((slow,) if copied else ())
+
     def test_speculative_limit_cause(self):
         # drive a run in which the straggler is speculated before timing out
         stack = [build("speculative_limit")]
@@ -455,6 +489,41 @@ class TestFingerprints:
                             key, fp = canonical_key(s, sym), s.fingerprint(sym)
                             assert fp_of[sym].setdefault(key, fp) == fp
                             assert key_of[sym].setdefault(fp, key) == key
+                    state = rng.choice(succs) if succs else None
+
+    def test_position_terms_equal_a_sum_from_scratch(self):
+        """Along random walks, the task and job terms that _Builder keeps
+        incrementally equal a sum over every task and job position of its
+        key times (hash of its view - hash of the default view), and the
+        fingerprint is that sum plus the scalar and node terms."""
+        rng = random.Random(14)
+        for _ in range(60):
+            init = build_cluster(*random_workload(rng))
+            st = init.statics
+            n, n_jobs, named = st.workload, len(st.job_ids), st.named_nodes
+            keys = [st.keys[k] or st.key(k) for k in range(n + n_jobs)]
+            d0_plain = hash(DEFAULT_RT)
+            d0_sym = hash(_sym_rt(DEFAULT_RT, named))
+            d0_job = hash(DEFAULT_JOB)
+            for _walk in range(3):
+                state = init
+                while state is not None:
+                    succs = [t.state for t in iter_transitions(state)]
+                    for s in [state] + succs:
+                        tasks = table_records(s.tasks, n)
+                        plain = sum(key * (hash(rt) - d0_plain)
+                                    for key, rt in zip(keys, tasks))
+                        sym = sum(key * (hash(_sym_rt(rt, named)) - d0_sym)
+                                  for key, rt in zip(keys, tasks))
+                        jobs = sum(key * (hash(job) - d0_job) for key, job
+                                   in zip(keys[n:], table_records(s.jobs,
+                                                                  n_jobs)))
+                        assert (s._th_plain, s._th_sym, s._jh) == \
+                            (plain, sym, jobs)
+                        scalar = _SCALAR_KEY * hash(_scalar_key(s))
+                        for flag, th in ((False, plain), (True, sym)):
+                            assert s.fingerprint(flag) == th + jobs + scalar \
+                                + _NODES_KEY * hash(_node_view(s, flag))
                     state = rng.choice(succs) if succs else None
 
     def test_fingerprints_do_not_depend_on_the_hash_seed(self):
