@@ -24,11 +24,11 @@ class code per anonymous node), since on a reachable state the records fix
 which task holds which slot. See GlobalState.fingerprint for the collision
 bound.
 
-The base queue is read from a frontier, the first pending map, after the
-few pending reduces below it (`held`), so a reduce that waits for its maps
-does not make every scan re-walk the entries consumed behind it. Under fair
-and capacity each pool keeps the same pair over its own tasks, and its
-running slots (Pools), so a policy finds its pick without a scan.
+The base queue is split once, per pool (Pools; fifo has one pool): each
+pool reads its own tasks from a cursor, its first pending map, after the few
+pending reduces below it (`held`), so a reduce that waits for its maps does
+not make every pick re-walk the entries consumed behind it. With each pool's
+running slots, that lets every policy find its pick without a scan.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ class NodeRT(NamedTuple):
 
 
 class Pools(NamedTuple):
-    """The per-pool upkeep of a fair or capacity state: each field holds
-    one entry per pool (see GlobalState)."""
+    """The per-pool upkeep of a state: each field holds one entry per pool
+    (see GlobalState)."""
     running: tuple  # occupied slots, speculative copies included
     cursor: tuple   # index in Statics.pool_tasks[q] of the first pending map
     held: tuple     # the sorted positions of the pending reduces before it
@@ -245,18 +245,16 @@ class Statics:
         self.gate = self.total_maps if ss >= 1.0 else tuple(
             math.ceil(ss * total) for total in self.total_maps)
         self.workload = len(recs)
-        # Under fair and capacity, the pool (fair pool or capacity queue) of
-        # each task position, and the positions of each pool's tasks in
-        # queue order, ending in the sentinel n; None under fifo.
-        self.pool = self.pool_tasks = None
+        # The pool (fair pool, capacity queue, or fifo's one pool) of each
+        # task position, and the positions of each pool's tasks in queue
+        # order, ending in the sentinel n; built job by job.
         job_pool = policies.pool_table(config, self.job_ids)
-        if job_pool is not None:
-            self.pool = tuple([job_pool[j] for j in self.job_of])
-            tasks = [[] for _ in range(policies.pool_count(config))]
-            for p, q in enumerate(self.pool):
-                tasks[q].append(p)
-            self.pool_tasks = tuple([tuple(ps) + (self.workload,)
-                                     for ps in tasks])
+        self.pool = tuple([job_pool[j] for j in self.job_of])
+        tasks = [[] for _ in range(policies.pool_count(config))]
+        for q, ps in zip(job_pool, self.job_tasks):
+            tasks[q].extend(ps)
+        self.pool_tasks = tuple([tuple(sorted(ps)) + (self.workload,)
+                                 for ps in tasks])
         self.queue = tuple(
             (k, r.job_id, r.task_id) for k, r in zip(self.kind, recs))
         self.named_nodes = frozenset(
@@ -293,45 +291,38 @@ class Transition(NamedTuple):
 
 
 class GlobalState:
-    __slots__ = ("statics", "config", "tasks", "jobs", "nodes", "held",
-                 "frontier", "extra", "clock", "counters", "namenode_on",
-                 "jobtracker_on", "running", "sched_pending", "_th_sym",
-                 "_th_plain", "_jh", "pools")
+    __slots__ = ("statics", "config", "tasks", "jobs", "nodes", "pools",
+                 "extra", "clock", "counters", "namenode_on", "jobtracker_on",
+                 "running", "sched_pending", "_th_sym", "_th_plain", "_jh")
 
     def __init__(self, statics: Statics, config: ClusterConfig, nodes: tuple,
-                 tasks: tuple, jobs: tuple, held: tuple, frontier: int,
-                 extra=(), clock=0, counters=Counters(),
-                 namenode_on=False, jobtracker_on=False, running=(),
-                 sched_pending=(), th_sym=0, th_plain=0, jh=0, pools=None):
+                 tasks: tuple, jobs: tuple, pools: Pools, extra=(), clock=0,
+                 counters=Counters(), namenode_on=False, jobtracker_on=False,
+                 running=(), sched_pending=(), th_sym=0, th_plain=0, jh=0):
         """The one constructor of a state; the defaults, with all-default
         task and job tables and the full queue, are the cold cluster that
         build_cluster starts from.
 
-        The base queue is kept by two fields, both functions of the task
-        records: the frontier is the position of the first pending map (n
-        if none), and held the sorted positions of the pending reduces
-        below it. The first pending entry is held[0] if any, else the
-        frontier. The split pays because few pending reduces sit below the
-        first pending map: a scan then skips the consumed entries between
-        them, and the upkeep is one short tuple copy per held reduce taken,
-        none for a map taken past the frontier.
-
-        Under fair and capacity, `pools` (a Pools) keeps per pool what the
-        policies would otherwise rebuild on every decision: its occupied
-        slots, copies included, and the same split over the pool's own
-        tasks, a cursor to its first pending map with the pending reduces
-        before it, plus the pool's entries consumed after the cursor (only
-        a cascade consumes those), which _pending_before subtracts. Under
-        fifo it is None and costs nothing. Like held and the frontier, these
-        are functions of the task records and slots, so neither
-        canonical_key nor fingerprint reads them."""
+        `pools` (a Pools) keeps per pool (fifo has one) what the policies
+        would otherwise rebuild on every decision: its occupied slots,
+        copies included, and the split of its own base entries. A pool's
+        cursor is the index in its queue order of its first pending map,
+        its held the sorted positions of its pending reduces before that,
+        and its gone the entries it lost after the cursor (only a cascade
+        consumes those), which _pending_before subtracts. The pool's first
+        pending entry is its first held reduce, if any, else its cursor
+        map. The split pays because few pending reduces sit below the first
+        pending map: a pick then skips the consumed entries between them,
+        and the upkeep is one short tuple copy per held reduce taken, none
+        for a map taken past the cursor. Like the slots, these are
+        functions of the task records, so neither canonical_key nor
+        fingerprint reads them."""
         self.statics = statics
         self.config = config
         self.tasks = tasks
         self.jobs = jobs
         self.nodes = nodes
-        self.held = held
-        self.frontier = frontier
+        self.pools = pools
         self.extra = extra
         self.clock = clock
         self.counters = counters
@@ -342,7 +333,6 @@ class GlobalState:
         self._th_sym = th_sym
         self._th_plain = th_plain
         self._jh = jh
-        self.pools = pools
 
     def task(self, tid) -> TaskRT:
         i = self.statics.idx_of[tid]
@@ -390,29 +380,27 @@ class GlobalState:
 
     def iter_queue(self):
         """Pending entries in queue order, capped at the max_queue scan
-        window; yields (global_index, code, job_id, task_id).
+        window; yields (global_index, code, job_id, task_id). Only the
+        resources-deadlock check and the tests read it: the policies pick
+        from the pools (pool_heads).
 
         A base entry is pending if and only if its task is still SUBMITTED:
         assignment and cascade failure are the only ways out of SUBMITTED,
         and both consume the entry. Base entry i is task i, so its record
-        is read by position. The pending entries below the frontier are the
-        held reduces, so the walk starts at the frontier and never re-reads
-        the consumed entries behind a reduce that waits for its maps.
+        is read by position, and the walk starts at the first pending one.
         `extra` holds the task positions of the pending speculative entries
         (assignment and cascade failure drop them); one reads as its task's
         base entry with the code of a copy."""
         scanned = 0
         cap = self.config.max_queue
         base = self.statics.queue
-        for i in self.held:
-            if scanned >= cap:
-                return
-            code, jid, tid = base[i]
-            yield i, code, jid, tid
-            scanned += 1
         tasks = self.tasks
-        i = self.frontier
         n = len(base)
+        pools = self.pools
+        # each pool's first pending entry: its first held reduce, else its
+        # cursor map
+        i = min([held[0] if held else order[c] for order, c, held in zip(
+            self.statics.pool_tasks, pools.cursor, pools.held)])
         while i < n and scanned < cap:
             if tasks[i >> 10][(i >> 5) & 31][i & 31].phase == SUBMITTED:
                 code, jid, tid = base[i]
@@ -449,15 +437,24 @@ class GlobalState:
             yield entry
 
     def pool_heads(self) -> list:
-        """Under fair and capacity, each pool's first eligible entry in the
-        max_queue window, as its queue index, or None: the entry that a
-        scan of eligible_entries would meet first among the pool's. That is
-        the pool's first held reduce whose gate is open, else its cursor
-        map, else its first speculative entry whose original runs, if it
-        lies in the window (a pool's later entries lie further out). A
-        pending base entry never belongs to a failed job (a job fails only
-        by the cascade that fails its pending tasks and drops its copies'
-        entries), so no job's failed flag is read."""
+        """Each pool's first eligible entry in the max_queue window, as its
+        queue index, or None: the entry that a scan of eligible_entries
+        would meet first among the pool's. That is the pool's first held
+        reduce whose gate is open, else its cursor map, else its first
+        speculative entry whose original runs, if it lies in the window (a
+        pool's later entries lie further out). A pending base entry never
+        belongs to a failed job (a job fails only by the cascade that fails
+        its pending tasks and drops its copies' entries), so no job's
+        failed flag is read.
+
+        At most qpos pending entries precede queue index qpos, so only a
+        head at max_queue or beyond can lie outside the window. Before it
+        come at most the held reduces of every pool and one entry per queue
+        index from the first pending map on; only when that bound reaches
+        max_queue do the pools count exactly (_pending_before). The bound
+        spares the count on most heads under fair: on a 100,000-task queue
+        with max_queue 10,000, counting every head made a fair verify about
+        17 % slower."""
         st = self.statics
         pools = self.pools
         n, gate, job_of, jobs = st.workload, st.gate, st.job_of, self.jobs
@@ -481,30 +478,25 @@ class GlobalState:
                         heads[q] = n + k
         cap = self.config.max_queue
         if n + len(self.extra) > cap:  # else every entry is in the window
+            reduces = first_map = None
             for q, head in enumerate(heads):
-                if head is not None and not self._in_window(head):
+                if head is None or head < cap:
+                    continue
+                if reduces is None:  # the bound's terms, once a pick
+                    reduces = sum([len(h) for h in pools.held])
+                    first_map = min([order[c] for order, c in zip(
+                        st.pool_tasks, pools.cursor)])
+                if reduces + max(head - first_map, 0) >= cap and \
+                        self._pending_before(head) >= cap:
                     heads[q] = None
         return heads
 
-    def _in_window(self, qpos: int) -> bool:
-        """Whether the pending entry at queue index qpos is among the first
-        max_queue pending entries, which iter_queue yields. Before it come
-        at most the held reduces and one entry per queue index from the
-        frontier on; when that bound reaches max_queue, the pools count
-        exactly (_pending_before). The bound spares the count on most
-        heads under fair: on a 100,000-task queue with max_queue 10,000,
-        counting every head made a fair verify about 17 % slower."""
-        cap = self.config.max_queue
-        if len(self.held) + max(qpos - self.frontier, 0) < cap:
-            return True
-        return self._pending_before(qpos) < cap
-
     def _pending_before(self, qpos: int) -> int:
-        """The pending entries before queue index qpos, under fair and
-        capacity, in O(pools log n): per pool, its held reduces before it,
-        and its positions from its cursor up to it less the ones consumed
-        (Pools.gone); before a speculative entry, every pending base entry
-        and the speculative entries ahead of it."""
+        """The pending entries before queue index qpos, in O(pools log n):
+        per pool, its held reduces before it, and its positions from its
+        cursor up to it less the ones consumed (Pools.gone); before a
+        speculative entry, every pending base entry and the speculative
+        entries ahead of it."""
         st = self.statics
         pools = self.pools
         p = min(qpos, st.workload)
@@ -578,11 +570,11 @@ def canonical_key(state: GlobalState, sym: bool) -> tuple:
 
 
 def _scalar_key(state: GlobalState) -> tuple:
-    """The clock, queue, counters and master flags of the state key. The
-    speculative queue is read as it is stored, its tasks' positions."""
-    head = state.held[0] if state.held else state.frontier
-    return (state.clock, head, state.extra, state.counters,
-            state.namenode_on, state.jobtracker_on)
+    """The clock, speculative queue, counters and master flags of the state
+    key. The speculative queue is read as it is stored, its tasks'
+    positions; the base queue is a function of the task records."""
+    return (state.clock, state.extra, state.counters, state.namenode_on,
+            state.jobtracker_on)
 
 
 def _node_key(state: GlobalState, sym: bool) -> tuple:
@@ -671,7 +663,8 @@ class _Builder:
     GlobalState.fingerprint) exact: writing position i adds K_i times the
     change of its digest, in the plain and the symmetric accumulator for a
     task and in the one job accumulator for a job. The counters are a list
-    (indexed by _TRACKERS .. _FREE) until the state is built.
+    (indexed by _TRACKERS .. _FREE) until the state is built, and so are the
+    pools' running slots once a slot is written (`used`).
 
     Transitions write records by position, tuple.__new__ over the record's
     fields in order, not by NamedTuple._replace, which costs about four
@@ -682,8 +675,8 @@ class _Builder:
         self.tasks = state.tasks
         self.jobs = state.jobs
         self.nodes = list(state.nodes)
-        self.held = state.held
-        self.frontier = state.frontier
+        self.pools = state.pools
+        self.used = None
         self.extra = state.extra
         self.clock = state.clock
         self.counters = list(state.counters)
@@ -694,7 +687,6 @@ class _Builder:
         self.th_sym = state._th_sym
         self.th_plain = state._th_plain
         self.jh = state._jh
-        self.pools = state.pools
         self.changed = []
         self.taken = []  # positions that left SUBMITTED, in write order
 
@@ -731,16 +723,15 @@ class _Builder:
         slots = list(node.slots)
         slots[slot_k] = occupant
         self.nodes[node_i] = tuple.__new__(NodeRT, (node.on, tuple(slots)))
-        pools = self.pools
-        if pools is not None and (occupant is not None or old is not None):
-            st = self.src.statics
-            running = list(pools.running)
-            if occupant is None:
-                running[st.pool[old % st.workload]] -= 1
-            else:
-                running[st.pool[occupant % st.workload]] += 1
-            self.pools = tuple.__new__(
-                Pools, (tuple(running), pools.cursor, pools.held, pools.gone))
+        st = self.src.statics
+        pool, n = st.pool, st.workload
+        used = self.used
+        if used is None:
+            used = self.used = list(self.pools.running)
+        if old is not None:
+            used[pool[old % n]] -= 1
+        if occupant is not None:
+            used[pool[occupant % n]] += 1
 
     def finish(self) -> GlobalState:
         # only an entry that left the queue can move the queue fields
@@ -768,76 +759,71 @@ class _Builder:
 
     def _advance_queue(self, taken: list):
         """The base entries at positions `taken` were consumed: move the
-        frontier and held (see GlobalState), and under fair and capacity
-        the cursor, held reduces and gone entries of their pool."""
+        split of their pool (see GlobalState). The positions one transition
+        takes belong to one job (an assignment takes one, a cascade its
+        job's pending tasks), so to one pool; a field's tuple is copied only
+        when it changes.
+
+        The taken reduces leave held, and if the cursor's own map went, the
+        cursor moves to the pool's next pending map, holding the pending
+        reduces it passes. A reduce waits in held for its maps, so no pick
+        walks the consumed entries behind it again, and taking a map past
+        the cursor touches neither; it joins gone until the cursor passes
+        it."""
         st = self.src.statics
-        tasks = self.tasks
-        self.frontier, self.held = _advance(
-            tasks, st.kind, range(st.workload + 1), self.frontier, self.held,
-            taken)
+        tasks, kind = self.tasks, st.kind
         pools = self.pools
-        if pools is not None:
-            # The positions one transition takes belong to one job (an
-            # assignment takes one, a cascade its job's pending tasks), so
-            # to one pool; a field's tuple is copied only when it changes.
-            q = st.pool[taken[0]]
-            order = st.pool_tasks[q]
-            cursor, held, gone = pools.cursor, pools.held, pools.gone
-            front = order[cursor[q]]
-            c, h = _advance(tasks, st.kind, order, cursor[q], held[q], taken)
-            # entries consumed after the cursor, until it passes them
-            past = [p for p in taken if p > front]
-            if past or (gone[q] and c != cursor[q]):
-                g = sorted([p for p in gone[q] + tuple(past) if p > order[c]])
-                gone = gone[:q] + (tuple(g),) + gone[q + 1:]
-            if c != cursor[q]:
-                cursor = cursor[:q] + (c,) + cursor[q + 1:]
-            if h is not held[q]:
-                held = held[:q] + (h,) + held[q + 1:]
-            self.pools = tuple.__new__(Pools,
-                                       (pools.running, cursor, held, gone))
+        q = st.pool[taken[0]]
+        order = st.pool_tasks[q]
+        cursor, held, gone = pools.cursor, pools.held, pools.gone
+        c, h = cursor[q], held[q]
+        front = order[c]
+        past = []  # entries consumed after the cursor, until it passes them
+        for p in taken:
+            if p < front:
+                k = h.index(p)
+                h = h[:k] + h[k + 1:]
+            elif p > front:
+                past.append(p)
+        if front in taken:
+            n = order[-1]
+            passed = []
+            c += 1
+            p = order[c]
+            while p != n:
+                if tasks[p >> 10][(p >> 5) & 31][p & 31].phase == SUBMITTED:
+                    if kind[p] == CODE_MAP:
+                        break
+                    passed.append(p)
+                c += 1
+                p = order[c]
+            if passed:
+                h += tuple(passed)
+        if past or (gone[q] and c != cursor[q]):
+            g = sorted([p for p in gone[q] + tuple(past) if p > order[c]])
+            gone = gone[:q] + (tuple(g),) + gone[q + 1:]
+        if c != cursor[q]:
+            cursor = cursor[:q] + (c,) + cursor[q + 1:]
+        if h is not held[q]:
+            held = held[:q] + (h,) + held[q + 1:]
+        # the slot writes so far go into the same Pools
+        used = self.used
+        self.used = None
+        self.pools = tuple.__new__(Pools, (
+            pools.running if used is None else tuple(used), cursor, held,
+            gone))
 
     def _build(self) -> GlobalState:
+        pools = self.pools
+        if self.used is not None:
+            pools = tuple.__new__(Pools, (tuple(self.used),) + pools[1:])
         # positional: passing these by keyword doubles the cost of a state
         return GlobalState(
             self.src.statics, self.src.config, tuple(self.nodes), self.tasks,
-            self.jobs, self.held, self.frontier, self.extra, self.clock,
+            self.jobs, pools, self.extra, self.clock,
             tuple.__new__(Counters, self.counters), self.namenode_on,
             self.jobtracker_on, self.running, self.sched_pending, self.th_sym,
-            self.th_plain, self.jh, self.pools)
-
-
-def _advance(tasks, kind, order, cursor: int, held: tuple, taken: list):
-    """One queue order's split after the entries at positions `taken`, all
-    in `order`, left SUBMITTED. `order` lists positions in queue order and
-    ends in the sentinel n; order[cursor] is the first pending map (n if
-    none) and held the sorted pending reduces before it. The taken reduces
-    leave held, and if the cursor's own map went, the cursor moves to the
-    next pending map, holding the pending reduces it passes. A reduce waits
-    in held for its maps, so no scan walks the consumed entries behind it
-    again, and taking a map past the cursor touches neither. Returns the
-    new (cursor, held)."""
-    front = order[cursor]
-    for p in taken:
-        if p < front:
-            k = held.index(p)
-            held = held[:k] + held[k + 1:]
-    if front in taken:
-        n = order[-1]
-        passed = []
-        i = cursor + 1
-        p = order[i]
-        while p != n:
-            if tasks[p >> 10][(p >> 5) & 31][p & 31].phase == SUBMITTED:
-                if kind[p] == CODE_MAP:
-                    break
-                passed.append(p)
-            i += 1
-            p = order[i]
-        if passed:
-            held += tuple(passed)
-        cursor = i
-    return cursor, held
+            self.th_plain, self.jh)
 
 
 def build_cluster(config: ClusterConfig, workload: WorkloadTrace) -> GlobalState:
@@ -847,30 +833,20 @@ def build_cluster(config: ClusterConfig, workload: WorkloadTrace) -> GlobalState
     nodes = tuple(NodeRT(False, (None,) * config.slots_per_node)
                   for _ in range(config.node_count))
     st = Statics(config, workload)
-    # every entry is pending: the frontier is the first map, and the
-    # reduces before it are held; so for each pool's cursor
-    frontier = (st.kind.index(CODE_MAP) if CODE_MAP in st.kind
-                else st.workload)
-    pools = None
-    if st.pool_tasks is not None:
-        cursor = tuple([_first_map(st.kind, order)
-                        for order in st.pool_tasks])
-        pools = tuple.__new__(Pools, (
-            (0,) * len(cursor), cursor,
-            tuple([order[:c] for order, c in zip(st.pool_tasks, cursor)]),
-            ((),) * len(cursor)))
+    # every entry is pending: each pool's cursor is at its first map (or
+    # its sentinel), and the reduces before it are held
+    cursor = []
+    for order in st.pool_tasks:
+        c = 0
+        while c < len(order) - 1 and st.kind[order[c]] != CODE_MAP:
+            c += 1
+        cursor.append(c)
+    pools = tuple.__new__(Pools, (
+        (0,) * len(cursor), tuple(cursor),
+        tuple([order[:c] for order, c in zip(st.pool_tasks, cursor)]),
+        ((),) * len(cursor)))
     return GlobalState(st, config, nodes, new_table(st.workload, DEFAULT_RT),
-                       new_table(len(st.job_ids), DEFAULT_JOB),
-                       tuple(range(frontier)), frontier, pools=pools)
-
-
-def _first_map(kind: tuple, order: tuple) -> int:
-    """The index in `order` (see _advance) of its first map, or of its
-    sentinel."""
-    i, n = 0, order[-1]
-    while order[i] != n and kind[order[i]] != CODE_MAP:
-        i += 1
-    return i
+                       new_table(len(st.job_ids), DEFAULT_JOB), pools)
 
 
 # --------------------------------------------------------------------------
@@ -893,8 +869,7 @@ def enabled_moves(state: GlobalState) -> list:
             if not node.on:
                 moves.append((_activate_tt, i))
         if state.counters.free_slots:
-            qpos = policies.select(state.config.scheduler,
-                                   state.eligible_entries(), state)
+            qpos = policies.select(state)
             if qpos is not None:
                 # base entries come first in the queue, then speculative
                 assign = (_assign if qpos < state.statics.workload

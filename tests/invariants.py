@@ -33,82 +33,65 @@ def check_state(state):
             assert state.job(jid).fin_maps == st.total_maps[j], \
                 f"reduce {tid} executed before all maps of {jid} finished"
 
-    # the base queue: consumed below the head, pending at it, and scanned
-    # as exactly the SUBMITTED tasks from the head on, in queue order
+    # the base queue: consumed below the head (the first SUBMITTED task),
+    # and scanned as exactly the SUBMITTED tasks from the head on, in
+    # queue order
     base = st.queue
-    head = state.held[0] if state.held else state.frontier
-    assert all(state.task(tid).phase != SUBMITTED
-               for _code, _jid, tid in base[:head]), \
-        "a SUBMITTED task sits below the queue head"
-    if head < len(base):
-        assert state.task(base[head][2]).phase == SUBMITTED, \
-            "the queue head entry is already consumed"
-    pending = [(i,) + base[i] for i in range(head, len(base))
+    pending = [(i,) + base[i] for i in range(n)
                if state.task(base[i][2]).phase == SUBMITTED]
     scanned = [e for e in state.iter_queue() if e[0] < len(base)]
     assert scanned == pending[:state.config.max_queue], \
         "iter_queue does not yield the pending base entries"
-    # the frontier is the first pending map, and held the pending reduces
-    # below it, in queue order
-    frontier = state.frontier
-    assert frontier == n or (
-        st.kind[frontier] == CODE_MAP
-        and state.task(base[frontier][2]).phase == SUBMITTED), \
-        "the frontier entry is not a pending map"
-    below = [p for p in range(frontier)
-             if state.task(base[p][2]).phase == SUBMITTED]
-    assert not any(st.kind[p] == CODE_MAP for p in below), \
-        "a pending map sits below the frontier"
-    assert state.held == tuple(below), \
-        "held is not the pending reduces below the frontier"
     # the policies skip the failed flag of a pending entry's job
     assert not any(state.job(entry[2]).failed for entry in pending), \
         "a pending base entry belongs to a failed job"
 
-    # per pool under fair and capacity: the running slots are a recount of
-    # the occupied slots, the cursor and held reduces split the pool's own
-    # pending entries as the frontier and held split the queue, and gone
-    # lists the pool's consumed entries past its cursor
-    if state.config.scheduler == "fifo":
-        assert state.pools is None, "a fifo state carries pool data"
-    else:
-        n_pools = len(st.pool_tasks)
-        recount = [0] * n_pools
-        for node in state.nodes:
-            for occ in node.slots:
-                if occ is not None:
-                    recount[st.pool[occ % n]] += 1
-        assert state.pools.running == tuple(recount), \
-            "pool running counts disagree with a slot recount"
-        for q in range(n_pools):
-            order = st.pool_tasks[q]
-            assert order[-1] == n and list(order[:-1]) == [
-                p for p in range(n) if st.pool[p] == q], \
-                f"pool {q}'s queue order is not its tasks in queue order"
-            cursor = state.pools.cursor[q]
-            front = order[cursor]
-            assert front == n or (
-                st.kind[front] == CODE_MAP
-                and state.task(base[front][2]).phase == SUBMITTED), \
-                f"pool {q}'s cursor entry is not a pending map"
-            below = [p for p in order[:cursor]
-                     if state.task(base[p][2]).phase == SUBMITTED]
-            assert not any(st.kind[p] == CODE_MAP for p in below), \
-                f"a pending map of pool {q} sits below its cursor"
-            assert state.pools.held[q] == tuple(below), \
-                f"pool {q}'s held is not its pending reduces below its cursor"
-            assert state.pools.gone[q] == tuple(
-                p for p in order[cursor + 1:-1]
-                if state.task(base[p][2]).phase != SUBMITTED), \
-                f"pool {q}'s gone is not its consumed entries past its cursor"
-        # the pools' count of the pending entries before each queue index,
-        # which decides the window once the queue outgrows max_queue
-        before = 0
-        for qpos in range(n + len(state.extra)):
-            assert state._pending_before(qpos) == before, \
-                f"the pools miscount the pending entries before {qpos}"
-            before += qpos >= n or \
-                state.task(base[qpos][2]).phase == SUBMITTED
+    # per pool (fifo has one): the running slots are a recount of the
+    # occupied slots, the cursor is the pool's first pending map and held
+    # the pool's pending reduces below it, gone lists the pool's consumed
+    # entries past its cursor, and the least first pending entry of the
+    # pools is the queue head
+    n_pools = len(st.pool_tasks)
+    recount = [0] * n_pools
+    for node in state.nodes:
+        for occ in node.slots:
+            if occ is not None:
+                recount[st.pool[occ % n]] += 1
+    assert state.pools.running == tuple(recount), \
+        "pool running counts disagree with a slot recount"
+    heads = []
+    for q in range(n_pools):
+        order = st.pool_tasks[q]
+        assert order[-1] == n and list(order[:-1]) == [
+            p for p in range(n) if st.pool[p] == q], \
+            f"pool {q}'s queue order is not its tasks in queue order"
+        cursor = state.pools.cursor[q]
+        front = order[cursor]
+        assert front == n or (
+            st.kind[front] == CODE_MAP
+            and state.task(base[front][2]).phase == SUBMITTED), \
+            f"pool {q}'s cursor entry is not a pending map"
+        below = [p for p in order[:cursor]
+                 if state.task(base[p][2]).phase == SUBMITTED]
+        assert not any(st.kind[p] == CODE_MAP for p in below), \
+            f"a pending map of pool {q} sits below its cursor"
+        assert state.pools.held[q] == tuple(below), \
+            f"pool {q}'s held is not its pending reduces below its cursor"
+        assert state.pools.gone[q] == tuple(
+            p for p in order[cursor + 1:-1]
+            if state.task(base[p][2]).phase != SUBMITTED), \
+            f"pool {q}'s gone is not its consumed entries past its cursor"
+        heads.append(below[0] if below else front)
+    assert min(heads) == (pending[0][0] if pending else n), \
+        "the pools' first pending entries miss the queue head"
+    # the pools' count of the pending entries before each queue index,
+    # which decides the window once the queue outgrows max_queue
+    before = 0
+    for qpos in range(n + len(state.extra)):
+        assert state._pending_before(qpos) == before, \
+            f"the pools miscount the pending entries before {qpos}"
+        before += qpos >= n or \
+            state.task(base[qpos][2]).phase == SUBMITTED
 
     # the speculative queue: only pending entries, none of a failed job,
     # and each speculation of a running task either queued or running

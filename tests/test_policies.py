@@ -7,7 +7,8 @@ from fixtures import FIXTURES, mk_trace, rec
 import policies_reference
 
 from schedcheck.config import ClusterConfig
-from schedcheck.model import GlobalState, build_cluster, iter_transitions
+from schedcheck.model import (GlobalState, build_cluster, enabled_moves,
+                              iter_transitions)
 from schedcheck.policies import job_number, select
 from schedcheck.trace import GeneratorSpec, synthesize
 
@@ -34,11 +35,20 @@ def assign_first(state):
                 if t.event.name.startswith("assign.")).state
 
 
-def unread():
-    """An eligible iterable that fails if read: fair and capacity pick from
-    the state's pools, without reading the window."""
-    raise AssertionError("select read the eligible entries")
-    yield
+def reachable(config, trace):
+    """Every state reachable from the initial one, each once."""
+    init = build_cluster(config, trace)
+    seen = {init.fingerprint(False)}
+    stack, states = [init], []
+    while stack:
+        state = stack.pop()
+        states.append(state)
+        for t in iter_transitions(state):
+            key = t.state.fingerprint(False)
+            if key not in seen:
+                seen.add(key)
+                stack.append(t.state)
+    return states
 
 
 class TestJobNumber:
@@ -54,11 +64,15 @@ class TestFifo:
     def test_picks_first_eligible(self):
         state = activated(FIXTURES["two_jobs_fifo"])
         eligible = list(state.eligible_entries())
-        assert select("fifo", eligible, state) == eligible[0][0]
+        assert select(state) == eligible[0][0]
 
-    def test_empty_eligible(self):
-        state = activated(FIXTURES["two_jobs_fifo"])
-        assert select("fifo", [], state) is None
+    def test_no_eligible_entry(self):
+        # both maps run, and the reduce waits in the queue for them
+        state = assign_first(assign_first(activated(
+            FIXTURES["map_reduce_gate"])))
+        assert [e[3] for e in state.iter_queue()] == ["r1"]
+        assert list(state.eligible_entries()) == []
+        assert select(state) is None
 
 
 class TestFair:
@@ -69,7 +83,7 @@ class TestFair:
         state = assign_first(activated(fx))
         pools = policies_reference.pool_states(state)
         assert sum(p.running_slots for p in pools.values()) == 1
-        qpos = select("fair", list(state.eligible_entries()), state)
+        qpos = select(state)
         jid = state.statics.queue[qpos][1]
         occupied_pool = job_number("j1") % fx.config.fair_pools
         assert job_number(jid) % fx.config.fair_pools != occupied_pool
@@ -81,17 +95,17 @@ class TestFair:
         # both pools start at equal deficit: the earliest entry wins
         assert len({p.entitled_slots - p.running_slots
                     for p in pools.values()}) == 1
-        assert select("fair", eligible, state) == eligible[0][0]
+        assert select(state) == eligible[0][0]
 
     def test_stops_at_first_entry_of_a_min_running_pool(self):
         # a1 runs, so pool 1 (j1) runs one slot and pool 0 (j2) none; the
-        # window is a2 (pool 1), b1 (pool 0), b2 (pool 0), and the pick,
-        # b1, comes from the pools without reading it
+        # window is a2 (pool 1), b1 (pool 0), b2 (pool 0), and the pick is
+        # b1
         state = assign_first(activated(FIXTURES["fair_two_pools"]))
         eligible = list(state.eligible_entries())
         assert [state.statics.queue[e[0]][2] for e in eligible] == \
             ["a2", "b1", "b2"]
-        assert select("fair", unread(), state) == eligible[1][0]
+        assert select(state) == eligible[1][0]
 
 
 class TestCapacity:
@@ -104,13 +118,13 @@ class TestCapacity:
         caps = policies_reference.capacity_states(state)
         assert [(c.running_slots, c.entitled_slots)
                 for _, c in sorted(caps.items())] == [(1, 1.0), (0, 1.0)]
-        qpos = select("capacity", list(state.eligible_entries()), state)
+        qpos = select(state)
         assert state.statics.queue[qpos][1] == "j1"
 
     def test_first_under_capacity_queue_wins(self):
         fx = FIXTURES["capacity_two_queues"]
         state = activated(fx)
-        qpos = select("capacity", list(state.eligible_entries()), state)
+        qpos = select(state)
         # nothing is running: the first listed queue is under capacity
         nq = len(fx.config.capacity_queues)
         jid = state.statics.queue[qpos][1]
@@ -118,12 +132,12 @@ class TestCapacity:
 
     def test_stops_at_first_entry_of_first_under_capacity_queue(self):
         # nothing runs; the window is a1 (queue 1), b1 (queue 0), a2, b2,
-        # and the pick, b1, comes from the pools without reading it
+        # and the pick is b1
         state = activated(FIXTURES["capacity_two_queues"])
         eligible = list(state.eligible_entries())
         assert [state.statics.queue[e[0]][2] for e in eligible] == \
             ["a1", "b1", "a2", "b2"]
-        assert select("capacity", unread(), state) == eligible[1][0]
+        assert select(state) == eligible[1][0]
 
     def test_fallback_when_all_at_capacity(self):
         fx = FIXTURES["capacity_two_queues"]
@@ -134,11 +148,25 @@ class TestCapacity:
         eligible = list(state.eligible_entries())
         assert eligible  # two tasks still queued
         # no free slot means the scheduler won't ask, but the policy itself
-        # must still answer deterministically: the first entry, found from
-        # the pools without reading the window
+        # must still answer deterministically: the first entry
         assert all(c.running_slots >= c.entitled_slots for c in
                    policies_reference.capacity_states(state).values())
-        assert select("capacity", unread(), state) == eligible[0][0]
+        assert select(state) == eligible[0][0]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_moves_never_walk_the_queue(policy, monkeypatch):
+    """Every policy picks from the pools: listing the moves reads no queue
+    entry, on any reachable fixture state."""
+    states = [state for fx in FIXTURES.values() for state in reachable(
+        fx.config.override(scheduler=policy), fx.trace)]
+
+    def walked(state):
+        raise AssertionError("enabled_moves walked the queue")
+
+    monkeypatch.setattr(GlobalState, "iter_queue", walked)
+    for state in states:
+        enabled_moves(state)
 
 
 class TestAgainstListBasedReference:
@@ -147,25 +175,16 @@ class TestAgainstListBasedReference:
     @staticmethod
     def assert_agrees(policy, state):
         eligible = list(state.eligible_entries())
-        got = select(policy, iter(eligible), state)
+        got = select(state)
         assert got == policies_reference.select(policy, eligible, state)
         return got
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_every_reachable_fixture_state(self, policy):
         for fx in FIXTURES.values():
-            init = build_cluster(fx.config.override(scheduler=policy),
-                                 fx.trace)
-            seen = {init.fingerprint(False)}
-            stack = [init]
-            while stack:
-                state = stack.pop()
+            for state in reachable(fx.config.override(scheduler=policy),
+                                   fx.trace):
                 self.assert_agrees(policy, state)
-                for t in iter_transitions(state):
-                    key = t.state.fingerprint(False)
-                    if key not in seen:
-                        seen.add(key)
-                        stack.append(t.state)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_random_walks_over_a_generated_trace(self, policy):
@@ -191,7 +210,7 @@ class TestAgainstListBasedReference:
             capacity_queues=(("prod", 0.5), ("batch", 0.3), ("adhoc", 0.2)),
             **changes)
 
-    @pytest.mark.parametrize("policy", ("fair", "capacity"))
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_walks_through_speculative_picks(self, policy):
         # The opencloud profile puts a straggler job first: once its three
         # sibling maps complete, its fourth map draws a speculative entry.
@@ -215,11 +234,13 @@ class TestAgainstListBasedReference:
         assert queued > 0, "no walk queued an eligible speculative entry"
         assert picked > 0, "no walk picked a speculative entry"
 
-    @pytest.mark.parametrize("policy", ("fair", "capacity"))
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_window_by_bound_and_by_count(self, policy, monkeypatch):
         # A 1,000-task trace and a 10-entry window: the O(1) bound settles
         # some picks alone, the exact per-pool count admits some pool heads
-        # that the bound cannot, and the window hides some heads.
+        # that the bound cannot, and the window hides some heads. Under
+        # fifo only held reduces can push the one pool's head out, so each
+        # job has one map and two reduces, which wait in held for the map.
         counted = []
         count = GlobalState._pending_before
 
@@ -230,7 +251,8 @@ class TestAgainstListBasedReference:
 
         monkeypatch.setattr(GlobalState, "_pending_before", counting)
         trace = synthesize(GeneratorSpec(n_tasks=1_000, interarrival_ms=500,
-                                         profile="opencloud"), seed=7)
+                                         maps_per_job=1, reduces_per_job=2),
+                           seed=7)
         cap = 10
         state = build_cluster(self.config(policy, max_queue=cap), trace)
         rng = random.Random(20261019)
