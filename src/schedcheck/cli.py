@@ -349,6 +349,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except UnicodeDecodeError as exc:
+        print(f"error: an input file is not UTF-8 text: {exc}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

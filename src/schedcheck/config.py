@@ -79,7 +79,11 @@ def _parse_capacity_queues(text: str) -> tuple:
         name, _, frac = part.partition(":")
         if not frac:
             raise ConfigInvalid(f"bad capacity queue spec {part!r}")
-        queues.append((name.strip(), float(frac)))
+        try:
+            queues.append((name.strip(), float(frac)))
+        except ValueError:
+            raise ConfigInvalid(
+                f"bad value for capacity_queues: {part.strip()!r}") from None
     return tuple(queues)
 
 

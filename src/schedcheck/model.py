@@ -24,11 +24,13 @@ class code per anonymous node), since on a reachable state the records fix
 which task holds which slot. See GlobalState.fingerprint for the collision
 bound.
 
-The base queue is split once, per pool (Pools; fifo has one pool): each
-pool reads its own tasks from a cursor, its first pending map, after the few
-pending reduces below it (`held`), so a reduce that waits for its maps does
-not make every pick re-walk the entries consumed behind it. With each pool's
-running slots, that lets every policy find its pick without a scan.
+A state holds its run (Statics, the config among it) by one pointer, and
+beside it only what a transition writes. The base queue is split once, per
+pool (fifo has one pool): each pool reads its own tasks from a cursor, its
+first pending map, after the few pending reduces below it (`pool_held`), so
+a reduce that waits for its maps does not make every pick re-walk the
+entries consumed behind it. With each pool's running slots, that lets every
+policy find its pick without a scan.
 """
 
 from __future__ import annotations
@@ -147,15 +149,6 @@ class NodeRT(NamedTuple):
     slots: tuple
 
 
-class Pools(NamedTuple):
-    """The per-pool upkeep of a state: each field holds one entry per pool
-    (see GlobalState)."""
-    running: tuple  # occupied slots, speculative copies included
-    cursor: tuple   # index in Statics.pool_tasks[q] of the first pending map
-    held: tuple     # the sorted positions of the pending reduces before it
-    gone: tuple     # the sorted positions consumed after it (by cascades)
-
-
 class Counters(NamedTuple):
     trackercount: int = 0
     completedscheduled: int = 0
@@ -205,15 +198,17 @@ _NODES_KEY = _key_at(_draw_keys(2), 1)
 
 
 class Statics:
-    """Per-run data shared by every state of one exploration; immutable
-    but for `keys`, which fills with fixed values on first use."""
-    __slots__ = ("tids", "idx_of", "rank", "kind", "submit", "duration",
-                 "deadline", "preferred", "job_of", "job_tasks", "total_maps",
-                 "gate", "queue", "workload", "named_nodes", "job_ids",
+    """Per-run data shared by every state of one exploration, the config
+    among it; immutable but for `keys`, which fills with fixed values on
+    first use."""
+    __slots__ = ("config", "tids", "idx_of", "rank", "kind", "submit",
+                 "duration", "deadline", "preferred", "job_of", "job_tasks",
+                 "total_maps", "gate", "workload", "named_nodes", "job_ids",
                  "job_idx_of", "pool", "pool_tasks", "class_weight",
                  "key_bytes", "keys")
 
     def __init__(self, config: ClusterConfig, trace: WorkloadTrace):
+        self.config = config
         # Per-task attributes are tuples indexed by task position, per-job
         # ones by job position; idx_of and job_idx_of serve the id boundary.
         recs = trace.records
@@ -255,8 +250,6 @@ class Statics:
             tasks[q].extend(ps)
         self.pool_tasks = tuple([tuple(sorted(ps)) + (self.workload,)
                                  for ps in tasks])
-        self.queue = tuple(
-            (k, r.job_id, r.task_id) for k, r in zip(self.kind, recs))
         self.named_nodes = frozenset(
             p for p in self.preferred
             if p is not None and 0 <= p < config.node_count)
@@ -291,19 +284,22 @@ class Transition(NamedTuple):
 
 
 class GlobalState:
-    __slots__ = ("statics", "config", "tasks", "jobs", "nodes", "pools",
-                 "extra", "clock", "counters", "namenode_on", "jobtracker_on",
-                 "running", "sched_pending", "_th_sym", "_th_plain", "_jh")
+    __slots__ = ("statics", "tasks", "jobs", "nodes", "pool_running",
+                 "pool_cursor", "pool_held", "pool_gone", "extra", "clock",
+                 "counters", "namenode_on", "jobtracker_on", "running",
+                 "sched_pending", "_th_sym", "_th_plain")
 
-    def __init__(self, statics: Statics, config: ClusterConfig, nodes: tuple,
-                 tasks: tuple, jobs: tuple, pools: Pools, extra=(), clock=0,
+    def __init__(self, statics: Statics, nodes: tuple, tasks: tuple,
+                 jobs: tuple, pool_running: tuple, pool_cursor: tuple,
+                 pool_held: tuple, pool_gone: tuple, extra=(), clock=0,
                  counters=Counters(), namenode_on=False, jobtracker_on=False,
-                 running=(), sched_pending=(), th_sym=0, th_plain=0, jh=0):
+                 running=(), sched_pending=(), th_sym=0, th_plain=0):
         """The one constructor of a state; the defaults, with all-default
         task and job tables and the full queue, are the cold cluster that
-        build_cluster starts from.
+        build_cluster starts from. `statics` is the one pointer to the run;
+        every other field is one that a transition writes.
 
-        `pools` (a Pools) keeps per pool (fifo has one) what the policies
+        The pool_ fields keep per pool (fifo has one) what the policies
         would otherwise rebuild on every decision: its occupied slots,
         copies included, and the split of its own base entries. A pool's
         cursor is the index in its queue order of its first pending map,
@@ -318,11 +314,13 @@ class GlobalState:
         functions of the task records, so neither canonical_key nor
         fingerprint reads them."""
         self.statics = statics
-        self.config = config
         self.tasks = tasks
         self.jobs = jobs
         self.nodes = nodes
-        self.pools = pools
+        self.pool_running = pool_running
+        self.pool_cursor = pool_cursor
+        self.pool_held = pool_held
+        self.pool_gone = pool_gone
         self.extra = extra
         self.clock = clock
         self.counters = counters
@@ -332,7 +330,11 @@ class GlobalState:
         self.sched_pending = sched_pending
         self._th_sym = th_sym
         self._th_plain = th_plain
-        self._jh = jh
+
+    @property
+    def config(self) -> ClusterConfig:
+        """The run's config (Statics.config)."""
+        return self.statics.config
 
     def task(self, tid) -> TaskRT:
         i = self.statics.idx_of[tid]
@@ -346,17 +348,19 @@ class GlobalState:
 
     def task_phase(self, tid) -> int:
         """Current phase, with the WaitingResources view applied."""
-        i = self.statics.idx_of[tid]
+        st = self.statics
+        i = st.idx_of[tid]
         rt = self.tasks[i >> 10][(i >> 5) & 31][i & 31]
         if rt.phase == SUBMITTED:
-            if rt.dl or self.clock - self.statics.submit[i] > \
-                    self.config.fairness_wait_ms:
+            if rt.dl or self.clock - st.submit[i] > \
+                    st.config.fairness_wait_ms:
                 return WAITING_RESOURCES
         return rt.phase
 
     def task_ever_reached(self, tid, phase: int) -> bool:
         """Whether the task has been in `phase` at or before this state."""
-        i = self.statics.idx_of[tid]
+        st = self.statics
+        i = st.idx_of[tid]
         rt = self.tasks[i >> 10][(i >> 5) & 31][i & 31]
         if phase == SUBMITTED:
             return True
@@ -369,7 +373,7 @@ class GlobalState:
                 ref = rt.finish
             else:
                 ref = self.clock
-            return ref - self.statics.submit[i] > self.config.fairness_wait_ms
+            return ref - st.submit[i] > st.config.fairness_wait_ms
         if phase == SCHEDULED:
             return rt.node >= 0 or rt.phase >= SCHEDULED
         if phase == PROCESSED:
@@ -386,32 +390,30 @@ class GlobalState:
 
         A base entry is pending if and only if its task is still SUBMITTED:
         assignment and cascade failure are the only ways out of SUBMITTED,
-        and both consume the entry. Base entry i is task i, so its record
-        is read by position, and the walk starts at the first pending one.
-        `extra` holds the task positions of the pending speculative entries
-        (assignment and cascade failure drop them); one reads as its task's
-        base entry with the code of a copy."""
+        and both consume the entry. Base entry i is task i, its code the
+        task's kind, so it is read by position, and the walk starts at the
+        first pending one. `extra` holds the task positions of the pending
+        speculative entries (assignment and cascade failure drop them); one
+        reads as its task's base entry with the code of a copy."""
         scanned = 0
-        cap = self.config.max_queue
-        base = self.statics.queue
+        st = self.statics
+        cap = st.config.max_queue
+        kind, job_of, job_ids, tids = st.kind, st.job_of, st.job_ids, st.tids
         tasks = self.tasks
-        n = len(base)
-        pools = self.pools
+        n = st.workload
         # each pool's first pending entry: its first held reduce, else its
         # cursor map
         i = min([held[0] if held else order[c] for order, c, held in zip(
-            self.statics.pool_tasks, pools.cursor, pools.held)])
+            st.pool_tasks, self.pool_cursor, self.pool_held)])
         while i < n and scanned < cap:
             if tasks[i >> 10][(i >> 5) & 31][i & 31].phase == SUBMITTED:
-                code, jid, tid = base[i]
-                yield i, code, jid, tid
+                yield i, kind[i], job_ids[job_of[i]], tids[i]
                 scanned += 1
             i += 1
         for k, p in enumerate(self.extra):
             if scanned >= cap:
                 break
-            code, jid, tid = base[p]
-            yield n + k, code + 2, jid, tid
+            yield n + k, kind[p] + 2, job_ids[job_of[p]], tids[p]
             scanned += 1
 
     def eligible_entries(self):
@@ -456,11 +458,10 @@ class GlobalState:
         with max_queue 10,000, counting every head made a fair verify about
         17 % slower."""
         st = self.statics
-        pools = self.pools
         n, gate, job_of, jobs = st.workload, st.gate, st.job_of, self.jobs
         heads = []
-        for order, cursor, held in zip(st.pool_tasks, pools.cursor,
-                                       pools.held):
+        for order, cursor, held in zip(st.pool_tasks, self.pool_cursor,
+                                       self.pool_held):
             head = order[cursor]  # the first pending map, n if none
             for p in held:
                 j = job_of[p]
@@ -476,16 +477,16 @@ class GlobalState:
                     rt = tasks[p >> 10][(p >> 5) & 31][p & 31]
                     if rt.phase == PROCESSED:
                         heads[q] = n + k
-        cap = self.config.max_queue
+        cap = st.config.max_queue
         if n + len(self.extra) > cap:  # else every entry is in the window
             reduces = first_map = None
             for q, head in enumerate(heads):
                 if head is None or head < cap:
                     continue
                 if reduces is None:  # the bound's terms, once a pick
-                    reduces = sum([len(h) for h in pools.held])
+                    reduces = sum([len(h) for h in self.pool_held])
                     first_map = min([order[c] for order, c in zip(
-                        st.pool_tasks, pools.cursor)])
+                        st.pool_tasks, self.pool_cursor)])
                 if reduces + max(head - first_map, 0) >= cap and \
                         self._pending_before(head) >= cap:
                     heads[q] = None
@@ -494,15 +495,14 @@ class GlobalState:
     def _pending_before(self, qpos: int) -> int:
         """The pending entries before queue index qpos, in O(pools log n):
         per pool, its held reduces before it, and its positions from its
-        cursor up to it less the ones consumed (Pools.gone); before a
+        cursor up to it less the ones consumed (pool_gone); before a
         speculative entry, every pending base entry and the speculative
         entries ahead of it."""
         st = self.statics
-        pools = self.pools
         p = min(qpos, st.workload)
         before = qpos - p
-        for order, cursor, held, gone in zip(st.pool_tasks, pools.cursor,
-                                             pools.held, pools.gone):
+        for order, cursor, held, gone in zip(st.pool_tasks, self.pool_cursor,
+                                             self.pool_held, self.pool_gone):
             before += bisect_left(held, p)
             past = bisect_left(order, p) - cursor
             if past > 0:
@@ -518,8 +518,9 @@ class GlobalState:
         d_i the hash() of its record's view (the record itself, or _sym_rt's
         view of a task under sym) and d0_i that of the default record. s and
         m are the hash() of _scalar_key and of _node_view, S and N their
-        keys (_SCALAR_KEY, _NODES_KEY). _Builder keeps the position terms; s
-        and m are taken here.
+        keys (_SCALAR_KEY, _NODES_KEY). _Builder keeps the position terms,
+        one sum per view, with the job terms in both; s and m are taken
+        here.
 
         The node part digests only the node facts that the task views leave
         open. On every reachable state the occupied slots are exactly the
@@ -543,7 +544,7 @@ class GlobalState:
         view holds a str, whose hash is salted per process, or a field that
         can be both -1 and -2, which hash alike."""
         th = self._th_sym if sym else self._th_plain
-        return (th + self._jh + _SCALAR_KEY * hash(_scalar_key(self))
+        return (th + _SCALAR_KEY * hash(_scalar_key(self))
                 + _NODES_KEY * hash(_node_view(self, sym)))
 
     def is_terminal(self) -> bool:
@@ -590,7 +591,7 @@ def _node_key(state: GlobalState, sym: bool) -> tuple:
     if not sym:
         return tuple([node.on for node in nodes]), tuple(occ)
     st = state.statics
-    k, n = state.config.slots_per_node, st.workload
+    k, n = st.config.slots_per_node, st.workload
     named, kind = st.named_nodes, st.kind
     named_parts, anon_parts = [], []
     for i, node in enumerate(nodes):
@@ -661,10 +662,10 @@ class _Builder:
 
     It keeps the task and job terms of the fingerprint sum (see
     GlobalState.fingerprint) exact: writing position i adds K_i times the
-    change of its digest, in the plain and the symmetric accumulator for a
-    task and in the one job accumulator for a job. The counters are a list
-    (indexed by _TRACKERS .. _FREE) until the state is built, and so are the
-    pools' running slots once a slot is written (`used`).
+    change of its digest to the plain and the symmetric sum (a job's view
+    is the same in both). The counters are a list (indexed by _TRACKERS ..
+    _FREE) until the state is built, and so are the pools' running slots
+    once a slot is written (`used`).
 
     Transitions write records by position, tuple.__new__ over the record's
     fields in order, not by NamedTuple._replace, which costs about four
@@ -675,8 +676,10 @@ class _Builder:
         self.tasks = state.tasks
         self.jobs = state.jobs
         self.nodes = list(state.nodes)
-        self.pools = state.pools
         self.used = None
+        self.cursor = state.pool_cursor
+        self.held = state.pool_held
+        self.gone = state.pool_gone
         self.extra = state.extra
         self.clock = state.clock
         self.counters = list(state.counters)
@@ -686,7 +689,6 @@ class _Builder:
         self.sched_pending = state.sched_pending
         self.th_sym = state._th_sym
         self.th_plain = state._th_plain
-        self.jh = state._jh
         self.changed = []
         self.taken = []  # positions that left SUBMITTED, in write order
 
@@ -711,7 +713,9 @@ class _Builder:
         st = self.src.statics
         k = st.workload + i
         old = table_get(self.jobs, i)
-        self.jh += (st.keys[k] or st.key(k)) * (hash(rt) - hash(old))
+        term = (st.keys[k] or st.key(k)) * (hash(rt) - hash(old))
+        self.th_plain += term
+        self.th_sym += term
         self.jobs = table_set(self.jobs, i, rt)
 
     def set_slot(self, node_i, slot_k, occupant):
@@ -727,7 +731,7 @@ class _Builder:
         pool, n = st.pool, st.workload
         used = self.used
         if used is None:
-            used = self.used = list(self.pools.running)
+            used = self.used = list(self.src.pool_running)
         if old is not None:
             used[pool[old % n]] -= 1
         if occupant is not None:
@@ -765,17 +769,15 @@ class _Builder:
         when it changes.
 
         The taken reduces leave held, and if the cursor's own map went, the
-        cursor moves to the pool's next pending map, holding the pending
-        reduces it passes. A reduce waits in held for its maps, so no pick
-        walks the consumed entries behind it again, and taking a map past
-        the cursor touches neither; it joins gone until the cursor passes
-        it."""
+        cursor moves to the pool's next pending map (_next_map), holding the
+        pending reduces it passes. A reduce waits in held for its maps, so
+        no pick walks the consumed entries behind it again, and taking a map
+        past the cursor touches neither; it joins gone until the cursor
+        passes it."""
         st = self.src.statics
-        tasks, kind = self.tasks, st.kind
-        pools = self.pools
         q = st.pool[taken[0]]
         order = st.pool_tasks[q]
-        cursor, held, gone = pools.cursor, pools.held, pools.gone
+        cursor, held, gone = self.cursor, self.held, self.gone
         c, h = cursor[q], held[q]
         front = order[c]
         past = []  # entries consumed after the cursor, until it passes them
@@ -786,44 +788,41 @@ class _Builder:
             elif p > front:
                 past.append(p)
         if front in taken:
-            n = order[-1]
-            passed = []
-            c += 1
-            p = order[c]
-            while p != n:
-                if tasks[p >> 10][(p >> 5) & 31][p & 31].phase == SUBMITTED:
-                    if kind[p] == CODE_MAP:
-                        break
-                    passed.append(p)
-                c += 1
-                p = order[c]
+            c, passed = _next_map(order, c, self.tasks, st.kind)
             if passed:
-                h += tuple(passed)
+                h += passed
         if past or (gone[q] and c != cursor[q]):
             g = sorted([p for p in gone[q] + tuple(past) if p > order[c]])
-            gone = gone[:q] + (tuple(g),) + gone[q + 1:]
+            self.gone = gone[:q] + (tuple(g),) + gone[q + 1:]
         if c != cursor[q]:
-            cursor = cursor[:q] + (c,) + cursor[q + 1:]
+            self.cursor = cursor[:q] + (c,) + cursor[q + 1:]
         if h is not held[q]:
-            held = held[:q] + (h,) + held[q + 1:]
-        # the slot writes so far go into the same Pools
-        used = self.used
-        self.used = None
-        self.pools = tuple.__new__(Pools, (
-            pools.running if used is None else tuple(used), cursor, held,
-            gone))
+            self.held = held[:q] + (h,) + held[q + 1:]
 
     def _build(self) -> GlobalState:
-        pools = self.pools
-        if self.used is not None:
-            pools = tuple.__new__(Pools, (tuple(self.used),) + pools[1:])
+        src, used = self.src, self.used
         # positional: passing these by keyword doubles the cost of a state
         return GlobalState(
-            self.src.statics, self.src.config, tuple(self.nodes), self.tasks,
-            self.jobs, pools, self.extra, self.clock,
+            src.statics, tuple(self.nodes), self.tasks, self.jobs,
+            src.pool_running if used is None else tuple(used), self.cursor,
+            self.held, self.gone, self.extra, self.clock,
             tuple.__new__(Counters, self.counters), self.namenode_on,
             self.jobtracker_on, self.running, self.sched_pending, self.th_sym,
-            self.th_plain, self.jh)
+            self.th_plain)
+
+
+def _next_map(order: tuple, c: int, tasks: tuple, kind: tuple):
+    """The walk of a pool's cursor from index c of its queue order `order`:
+    the index of the next pending map after c (of the sentinel if none),
+    and the positions of the pending reduces it passes, as a tuple."""
+    passed = []
+    for c in range(c + 1, len(order) - 1):
+        p = order[c]
+        if tasks[p >> 10][(p >> 5) & 31][p & 31].phase == SUBMITTED:
+            if kind[p] == CODE_MAP:
+                return c, tuple(passed)
+            passed.append(p)
+    return len(order) - 1, tuple(passed)
 
 
 def build_cluster(config: ClusterConfig, workload: WorkloadTrace) -> GlobalState:
@@ -833,20 +832,15 @@ def build_cluster(config: ClusterConfig, workload: WorkloadTrace) -> GlobalState
     nodes = tuple(NodeRT(False, (None,) * config.slots_per_node)
                   for _ in range(config.node_count))
     st = Statics(config, workload)
-    # every entry is pending: each pool's cursor is at its first map (or
-    # its sentinel), and the reduces before it are held
-    cursor = []
-    for order in st.pool_tasks:
-        c = 0
-        while c < len(order) - 1 and st.kind[order[c]] != CODE_MAP:
-            c += 1
-        cursor.append(c)
-    pools = tuple.__new__(Pools, (
-        (0,) * len(cursor), tuple(cursor),
-        tuple([order[:c] for order, c in zip(st.pool_tasks, cursor)]),
-        ((),) * len(cursor)))
-    return GlobalState(st, config, nodes, new_table(st.workload, DEFAULT_RT),
-                       new_table(len(st.job_ids), DEFAULT_JOB), pools)
+    tasks = new_table(st.workload, DEFAULT_RT)
+    # every entry is pending: each pool's cursor walks from before its first
+    # entry to its first map (or its sentinel), holding the reduces before
+    cursor, held = zip(*[_next_map(order, -1, tasks, st.kind)
+                         for order in st.pool_tasks])
+    k = len(cursor)
+    return GlobalState(st, nodes, tasks,
+                       new_table(len(st.job_ids), DEFAULT_JOB), (0,) * k,
+                       cursor, held, ((),) * k)
 
 
 # --------------------------------------------------------------------------
@@ -957,8 +951,8 @@ def _assign_spec(state: GlobalState, arg) -> Transition:
 def _execute(state: GlobalState, p: int) -> Transition:
     """Scheduled -> Processed for the task at position p; locality counted
     against the preferred node."""
-    cfg = state.config
     st = state.statics
+    cfg = st.config
     _phase, _start, finish, node, slot, _local, cause, spec, copies, dl = \
         table_get(state.tasks, p)
     submit = st.submit[p]
@@ -1030,12 +1024,12 @@ def _speculation_scan(b: _Builder):
     """Enqueue speculative copies for stragglers: elapsed beyond
     speculation_factor times the mean duration of finished siblings of the
     same kind. No sibling estimate means no speculation."""
-    cfg = b.src.config
+    st = b.src.statics
+    cfg = st.config
     limit = cfg.max_speculative
     if limit == 0:
         return
     factor, clock = cfg.speculation_factor, b.clock
-    st = b.src.statics
     job_of, kind = st.job_of, st.kind
     # set_task below writes only the record of the task in hand, which the
     # loop does not read again, so the tables it started from serve it
@@ -1067,7 +1061,7 @@ def _complete(state: GlobalState, _arg) -> Transition:
     finish time. Deterministic: ties broken by task id."""
     end, _rank, ti = state.running[0]
     st = state.statics
-    cfg = state.config
+    cfg = st.config
     ji = st.job_of[ti]
     rt = table_get(state.tasks, ti)
     _phase, start, _finish, node, slot, local, rt_cause, spec, _copies, dl = rt

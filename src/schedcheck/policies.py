@@ -16,14 +16,14 @@ the job id (the trace has no user/pool column), so runs are reproducible;
   else the first entry.
 
 No policy walks the window. A state keeps each pool's running slots and a
-cursor into the pool's own queue order (model.Pools), so
-GlobalState.pool_heads finds each pool's first eligible entry in the window
-from a few reads: its first held reduce whose gate is open, else its cursor
-map, else its first speculative entry whose original runs. That entry is
-the one a scan of the window would meet first among the pool's, so fifo
-takes the least head, fair the least (running slots, queue index) over the
-pools, and capacity the head of the first under-capacity queue that has
-one, else the least head. A decision costs O(pools) plus the held reduces
+cursor into the pool's own queue order (GlobalState.pool_running and
+pool_cursor), so GlobalState.pool_heads finds each pool's first eligible
+entry in the window from a few reads: its first held reduce whose gate is
+open, else its cursor map, else its first speculative entry whose original
+runs. That entry is the one a scan of the window would meet first among
+the pool's, so fifo takes the least head, fair the least (running slots,
+queue index) over the pools, and capacity the head of the first
+under-capacity queue that has one, else the least head. A decision costs O(pools) plus the held reduces
 and speculative entries it reads. Only a queue longer than max_queue can
 hide a head from the window; then an O(1) bound admits most heads, and an
 exact count of the pending entries before a head, in O(pools log n),
@@ -66,16 +66,16 @@ def select(state) -> int | None:
     the max_queue scan window that a free slot of `state` takes under its
     scheduler, or None when the window holds no eligible entry."""
     heads = state.pool_heads()
-    policy = state.config.scheduler
+    config = state.statics.config
+    policy = config.scheduler
     if policy == "fair":
         best = None
-        for running, head in zip(state.pools.running, heads):
+        for running, head in zip(state.pool_running, heads):
             if head is not None and (best is None or (running, head) < best):
                 best = (running, head)
         return None if best is None else best[1]
     if policy == "capacity":
-        running = state.pools.running
-        config = state.config
+        running = state.pool_running
         on_slots = state.counters.trackercount * config.slots_per_node
         # listed order is priority order
         for q, (_, frac) in enumerate(config.capacity_queues):

@@ -210,6 +210,11 @@ class GeneratorSpec:
             raise SpecInvalid("reduces_per_job must be >= 0")
         if self.mean_duration_ms < 1 or self.interarrival_ms < 0:
             raise SpecInvalid("durations must be positive")
+        if self.node_count < 1:
+            raise SpecInvalid("node_count must be >= 1")
+        # a failing task runs timeout_ms plus a draw from [1, timeout_ms // 2)
+        if self.timeout_ms < 4:
+            raise SpecInvalid("timeout_ms must be >= 4")
         if self.profile not in ("uniform", "opencloud"):
             raise SpecInvalid(f"unknown profile {self.profile!r}")
 
@@ -230,10 +235,12 @@ def parse_generator_spec(text: str) -> GeneratorSpec:
         if not sep:
             raise SpecInvalid(f"expected key=value, got {raw!r}")
         key, value = key.strip(), value.strip()
-        if key in _GEN_INT_KEYS:
-            values[key] = int(value)
-        elif key in _GEN_FLOAT_KEYS:
-            values[key] = float(value)
+        if key in _GEN_INT_KEYS or key in _GEN_FLOAT_KEYS:
+            try:
+                values[key] = int(value) if key in _GEN_INT_KEYS \
+                    else float(value)
+            except ValueError:
+                raise SpecInvalid(f"bad value for {key}: {value!r}") from None
         elif key == "profile":
             values[key] = value
         else:

@@ -36,12 +36,19 @@ def check_state(state):
     # the base queue: consumed below the head (the first SUBMITTED task),
     # and scanned as exactly the SUBMITTED tasks from the head on, in
     # queue order
-    base = st.queue
+    # base entry i is task i's (code, job_id, task_id), its code its kind
+    base = [(st.kind[i], st.job_ids[st.job_of[i]], tid)
+            for i, tid in enumerate(st.tids)]
     pending = [(i,) + base[i] for i in range(n)
                if state.task(base[i][2]).phase == SUBMITTED]
     scanned = [e for e in state.iter_queue() if e[0] < len(base)]
     assert scanned == pending[:state.config.max_queue], \
         "iter_queue does not yield the pending base entries"
+    assert [e for e in state.iter_queue() if e[0] >= n] == [
+        (n + k, base[p][0] + 2) + base[p][1:]
+        for k, p in enumerate(state.extra)][
+            :state.config.max_queue - len(scanned)], \
+        "iter_queue does not yield the speculative entries as copies"
     # the policies skip the failed flag of a pending entry's job
     assert not any(state.job(entry[2]).failed for entry in pending), \
         "a pending base entry belongs to a failed job"
@@ -57,7 +64,7 @@ def check_state(state):
         for occ in node.slots:
             if occ is not None:
                 recount[st.pool[occ % n]] += 1
-    assert state.pools.running == tuple(recount), \
+    assert state.pool_running == tuple(recount), \
         "pool running counts disagree with a slot recount"
     heads = []
     for q in range(n_pools):
@@ -65,7 +72,7 @@ def check_state(state):
         assert order[-1] == n and list(order[:-1]) == [
             p for p in range(n) if st.pool[p] == q], \
             f"pool {q}'s queue order is not its tasks in queue order"
-        cursor = state.pools.cursor[q]
+        cursor = state.pool_cursor[q]
         front = order[cursor]
         assert front == n or (
             st.kind[front] == CODE_MAP
@@ -75,9 +82,9 @@ def check_state(state):
                  if state.task(base[p][2]).phase == SUBMITTED]
         assert not any(st.kind[p] == CODE_MAP for p in below), \
             f"a pending map of pool {q} sits below its cursor"
-        assert state.pools.held[q] == tuple(below), \
+        assert state.pool_held[q] == tuple(below), \
             f"pool {q}'s held is not its pending reduces below its cursor"
-        assert state.pools.gone[q] == tuple(
+        assert state.pool_gone[q] == tuple(
             p for p in order[cursor + 1:-1]
             if state.task(base[p][2]).phase != SUBMITTED), \
             f"pool {q}'s gone is not its consumed entries past its cursor"

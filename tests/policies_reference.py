@@ -24,16 +24,15 @@ class PoolState(NamedTuple):
 
 
 def _occupied_by_pool(state, pool_of_job) -> dict:
-    # a slot holds the position p of a task or n + p of its copy, and base
-    # queue entry p is task p's (code, job_id, task_id)
+    # a slot holds the position p of a task or n + p of its copy
     counts = {}
-    queue = state.statics.queue
-    n = len(queue)
+    st = state.statics
+    n = len(st.tids)
     for node in state.nodes:
         for occ in node.slots:
             if occ is None:
                 continue
-            pool = pool_of_job(queue[occ % n][1])
+            pool = pool_of_job(st.job_ids[st.job_of[occ % n]])
             counts[pool] = counts.get(pool, 0) + 1
     return counts
 

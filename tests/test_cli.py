@@ -359,6 +359,38 @@ class TestGoldenReports:
             assert without_times(json.loads(out.read_text())) == golden, command
 
 
+class TestNonUtf8Input:
+    """A file argument that is not UTF-8 text exits 3 with one error line,
+    whichever command reads it."""
+
+    @pytest.mark.parametrize("command,flag", [
+        ("verify", "--trace"), ("verify", "--properties"),
+        ("verify", "--config"), ("whatif", "--scenario"), ("gen", "--spec")])
+    def test_bad_byte_exits_three(self, tmp_path, capsys, command, flag):
+        config, trace = write_fixture(tmp_path, "map_reduce_gate")
+        scenario = tmp_path / "scenario.conf"
+        scenario.write_text("task_timeout_ms = 4000\n")
+        spec = tmp_path / "gen.conf"
+        spec.write_text("n_tasks = 10\n")
+        files = {"--config": config, "--trace": trace,
+                 "--properties": props(tmp_path, GOAL0_PROPS),
+                 "--scenario": str(scenario), "--spec": str(spec)}
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(Path(files[flag]).read_bytes() + b"\xff\n")
+        files[flag] = str(bad)
+        wanted = {"verify": ("--config", "--trace", "--properties"),
+                  "whatif": ("--config", "--trace", "--properties",
+                             "--scenario"),
+                  "gen": ("--spec",)}[command]
+        args = [command] + [a for f in wanted for a in (f, files[f])]
+        if command == "gen":
+            args += ["--out", str(tmp_path / "x.csv")]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not UTF-8" in err
+
+
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 3

@@ -65,6 +65,12 @@ class TestParsing:
         with pytest.raises(ConfigInvalid):
             parse_config_text("node_count = four\n")
 
+    @pytest.mark.parametrize("value", ["prod:abc", "prod:0.5,adhoc:x"])
+    def test_bad_capacity_fraction_names_key_and_value(self, value):
+        with pytest.raises(ConfigInvalid, match="capacity_queues") as err:
+            parse_config_text(f"capacity_queues = {value}\n")
+        assert value.split(",")[-1] in str(err.value)
+
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "cluster.conf"
         path.write_text("node_count = 3\ntask_timeout_ms = 1000\n")

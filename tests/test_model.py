@@ -518,8 +518,8 @@ class TestFingerprints:
                         jobs = sum(key * (hash(job) - d0_job) for key, job
                                    in zip(keys[n:], table_records(s.jobs,
                                                                   n_jobs)))
-                        assert (s._th_plain, s._th_sym, s._jh) == \
-                            (plain, sym, jobs)
+                        assert (s._th_plain, s._th_sym) == \
+                            (plain + jobs, sym + jobs)
                         scalar = _SCALAR_KEY * hash(_scalar_key(s))
                         for flag, th in ((False, plain), (True, sym)):
                             assert s.fingerprint(flag) == th + jobs + scalar \

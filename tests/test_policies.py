@@ -35,6 +35,12 @@ def assign_first(state):
                 if t.event.name.startswith("assign.")).state
 
 
+def _job_id(state, p):
+    """The job id of the task at position p (base queue entry p)."""
+    st = state.statics
+    return st.job_ids[st.job_of[p]]
+
+
 def reachable(config, trace):
     """Every state reachable from the initial one, each once."""
     init = build_cluster(config, trace)
@@ -84,7 +90,7 @@ class TestFair:
         pools = policies_reference.pool_states(state)
         assert sum(p.running_slots for p in pools.values()) == 1
         qpos = select(state)
-        jid = state.statics.queue[qpos][1]
+        jid = _job_id(state, qpos)
         occupied_pool = job_number("j1") % fx.config.fair_pools
         assert job_number(jid) % fx.config.fair_pools != occupied_pool
 
@@ -103,7 +109,7 @@ class TestFair:
         # b1
         state = assign_first(activated(FIXTURES["fair_two_pools"]))
         eligible = list(state.eligible_entries())
-        assert [state.statics.queue[e[0]][2] for e in eligible] == \
+        assert [state.statics.tids[e[0]] for e in eligible] == \
             ["a2", "b1", "b2"]
         assert select(state) == eligible[1][0]
 
@@ -119,7 +125,7 @@ class TestCapacity:
         assert [(c.running_slots, c.entitled_slots)
                 for _, c in sorted(caps.items())] == [(1, 1.0), (0, 1.0)]
         qpos = select(state)
-        assert state.statics.queue[qpos][1] == "j1"
+        assert _job_id(state, qpos) == "j1"
 
     def test_first_under_capacity_queue_wins(self):
         fx = FIXTURES["capacity_two_queues"]
@@ -127,7 +133,7 @@ class TestCapacity:
         qpos = select(state)
         # nothing is running: the first listed queue is under capacity
         nq = len(fx.config.capacity_queues)
-        jid = state.statics.queue[qpos][1]
+        jid = _job_id(state, qpos)
         assert job_number(jid) % nq == 0
 
     def test_stops_at_first_entry_of_first_under_capacity_queue(self):
@@ -135,7 +141,7 @@ class TestCapacity:
         # and the pick is b1
         state = activated(FIXTURES["capacity_two_queues"])
         eligible = list(state.eligible_entries())
-        assert [state.statics.queue[e[0]][2] for e in eligible] == \
+        assert [state.statics.tids[e[0]] for e in eligible] == \
             ["a1", "b1", "a2", "b2"]
         assert select(state) == eligible[1][0]
 

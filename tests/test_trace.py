@@ -112,6 +112,30 @@ class TestGenerator:
         with pytest.raises(SpecInvalid):
             parse_generator_spec("bogus_key = 1\n")
 
+    @pytest.mark.parametrize("line", ["n_tasks = ten", "timeout_ms = 1.5",
+                                      "failure_fraction = some"])
+    def test_bad_number_in_spec_names_key_and_value(self, line):
+        key, _, value = (f.strip() for f in line.partition("="))
+        with pytest.raises(SpecInvalid, match=key) as err:
+            parse_generator_spec(line + "\n")
+        assert repr(value) in str(err.value)
+
+    @pytest.mark.parametrize("changes", [
+        {"n_tasks": 100, "timeout_ms": 1}, {"timeout_ms": 3},
+        {"node_count": 0, "locality_fraction": 1.0}, {"node_count": -1}])
+    def test_spec_rejects_values_that_synthesize_cannot_draw(self, changes):
+        with pytest.raises(SpecInvalid):
+            GeneratorSpec(**changes)
+
+    @pytest.mark.parametrize("profile", ["uniform", "opencloud"])
+    def test_least_timeout_and_node_count_synthesize(self, profile):
+        spec = GeneratorSpec(n_tasks=100, timeout_ms=4, node_count=1,
+                             locality_fraction=1.0, failure_fraction=0.5,
+                             profile=profile)
+        trace = synthesize(spec, seed=3)
+        assert trace.task_count == 100
+        assert {r.preferred_node for r in trace.records} == {0}
+
     def test_deterministic_for_fixed_seed(self):
         spec = GeneratorSpec(n_tasks=200)
         assert synthesize(spec, seed=42).records == \
