@@ -5,18 +5,23 @@ on the full state, `dfs-sym` on a canonical form that treats nodes no task
 prefers (and slots within a node) as interchangeable, which is sound because
 such nodes are behaviourally identical.
 
-The search stack has one two-slot entry per state of the current path:
-that state's successor iterator and the first transition drawn from it (to
-tell a dead end), cleared once taken. An iterator drops its state as it
-hands out its last transition, so the stack keeps alive only the path
-states that still have untried successors, and the witness path keeps one
-StepRecord per step.
+The search stack has one entry per state of the current path: that
+state's successor iterator, the first transition drawn from it (to tell a
+dead end) until it is taken, and how many transitions it has given. Path
+states are kept only at checkpoints, every CHECKPOINT_EVERY levels, and in
+the last CHECKPOINT_EVERY levels of the path: deeper entries drop their
+iterators, and with them their states, and a backtrack into them rebuilds
+them by redrawing the same transitions from the checkpoint below
+(state-space caching with replay: Godefroid, Holzmann & Pirottin, "State-space
+caching revisited", 1995). Moves are pure, so the rebuilt states are the
+dropped ones. A search of depth d so keeps O(d / 64 + 64) states alive,
+and the witness path one StepRecord per step.
 
 The cyclic garbage collector is paused for the span of a search. A deep
-search keeps thousands of path states alive, and each collection would walk
-them all again, making the search superlinear in its depth; the explorer
-and the model build no reference cycles, so the pause leaves no garbage
-behind (tests/test_checker.py checks both).
+search keeps one StepRecord per step alive, and each collection would
+walk them all again, making the search superlinear in its depth; the
+explorer and the model build no reference cycles, so the pause leaves no
+garbage behind (tests/test_checker.py checks both).
 
 Properties come from a small assertion language:
 
@@ -44,6 +49,7 @@ command line warns about each.
 from __future__ import annotations
 
 import gc
+import math
 import operator
 import re
 import time
@@ -58,6 +64,10 @@ from .model import (PHASE_BY_NAME, GlobalState, StepRecord, WitnessTrace,
 from .rates import RANGES, READERS, compute_rates
 
 STRATEGIES = ("dfs", "dfs-sym")
+
+# _search keeps the full state of every path level that is a multiple of
+# this, and rebuilds the levels between from there on a deep backtrack
+CHECKPOINT_EVERY = 64
 
 _METRICS = frozenset(READERS)
 _RATE_METRICS = frozenset({"schedulabilityrate", "fairnessrate",
@@ -178,11 +188,15 @@ def _parse_atom(text: str) -> Atom:
                 raise PropertySyntaxError(f"unknown metric {lhs!r}")
             if rhs in _METRICS:
                 return Atom(lhs, op, rhs)
+            # nan and inf parse as floats, but no metric value compares
+            # with them usefully
             try:
-                return Atom(lhs, op, float(rhs))
+                value = float(rhs)
+                if math.isfinite(value):
+                    return Atom(lhs, op, value)
             except ValueError:
-                raise PropertySyntaxError(
-                    f"bad comparison value {rhs!r}") from None
+                pass
+            raise PropertySyntaxError(f"bad comparison value {rhs!r}")
     raise PropertySyntaxError(f"no comparison operator in {text!r}")
 
 
@@ -272,16 +286,23 @@ def _search(initial: GlobalState, strategy: str, state_budget: int,
     verdicts[1], and a spent budget "unknown", with a reason that names the
     depth and clock of the state being expanded.
 
-    A stack entry is [first, successors] for one state of the path: the
-    successors iterator of that state, from iter_transitions, and the
-    first transition it gave, drawn early to learn whether the state is a
-    dead end, or None once it is taken. The entry keeps its state alive
-    only through the iterator, which drops it with its last transition.
-    Every transition is drawn through this module's iter_transitions with
-    next() alone, so a tracer may rebind that name to any iterator."""
+    A stack entry is [first, successors, checkpoint, drawn] for the state
+    at the depth of its index: the first transition its iterator gave,
+    drawn early to learn whether the state is a dead end, or None once it
+    is taken; its successors iterator, from iter_transitions; the state
+    itself if the depth is a multiple of k = CHECKPOINT_EVERY (a
+    checkpoint), else None; and how many transitions the iterator has
+    given. As the path reaches depth d, the entry at d - k loses its
+    iterator, and with it its state, unless it is a checkpoint, so the
+    stack keeps O(d / k + k) states alive. A top entry without an iterator
+    is rebuilt from the checkpoint below it (_rebuild); the transitions
+    redrawn there are not counted in `transitions`. Every transition is
+    drawn through this module's iter_transitions with next() alone, so a
+    tracer may rebind that name to any iterator."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
     sym = strategy == "dfs-sym"
+    every = CHECKPOINT_EVERY
     t0 = time.monotonic()
     deadline = t0 + time_budget_s if time_budget_s else None
     visited = {initial.fingerprint(sym)}
@@ -302,18 +323,22 @@ def _search(initial: GlobalState, strategy: str, state_budget: int,
     if found(initial, initial.is_terminal()):
         return result(verdicts[0], initial)
 
-    stack = [[None, iter_transitions(initial)]]
+    stack = [[None, iter_transitions(initial), initial, 0]]
     check_every = 2048
     while stack:
         entry = stack[-1]
         t = entry[0]
         if t is None:
-            t = next(entry[1], None)
+            successors = entry[1]
+            if successors is None:
+                successors = _rebuild(stack, every)
+            t = next(successors, None)
             if t is None:
                 stack.pop()
                 if path:
                     path.pop()
                 continue
+            entry[3] += 1
         else:
             entry[0] = None
         n_trans += 1
@@ -333,13 +358,36 @@ def _search(initial: GlobalState, strategy: str, state_budget: int,
         terminal = first is None
         path.append(StepRecord(t.event.name, t.event.payload, t.changed,
                                succ.clock))
+        depth = len(stack)
+        if depth >= every and (depth - every) % every:
+            stack[depth - every][1] = None
         if found(succ, terminal):
             return result(verdicts[0], succ, path)
         if terminal:
             path.pop()
             continue
-        stack.append([first, succ_it])
+        stack.append([first, succ_it, None if depth % every else succ, 1])
     return result(verdicts[1])
+
+
+def _rebuild(stack: list, every: int):
+    """Give the top entry of a _search stack its iterator back, and every
+    entry between it and the nearest checkpoint below that lost theirs.
+    From the checkpoint's state, each level draws as many transitions from
+    a new iterator as its entry drew; the last one drawn leads to the next
+    level. Moves are pure, so each state and each iterator's position are
+    the dropped ones. Returns the top entry's iterator."""
+    top = len(stack) - 1
+    base = top - top % every
+    state = stack[base][2]
+    for entry in stack[base:]:
+        successors = iter_transitions(state)
+        for _ in range(entry[3]):
+            t = next(successors)
+        state = t.state
+        if entry[1] is None:  # the checkpoint keeps its own
+            entry[1] = successors
+    return stack[top][1]
 
 
 def verify(initial: GlobalState, goal: GoalExpr, strategy: str = "dfs-sym",

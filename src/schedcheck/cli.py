@@ -16,7 +16,7 @@ import sys
 
 from . import __version__, analysis, checker, trace as trace_mod, whatif
 from .config import ClusterConfig, load_config, parse_config_text
-from .errors import SchedCheckError, UnknownTask
+from .errors import SchedCheckError, UnknownTask, read_lines
 from .model import PHASE_NAMES, build_cluster
 from .rates import compute_rates
 
@@ -79,8 +79,8 @@ def _config_echo(config) -> dict:
 def _obligations(args, workload) -> list:
     """The property file's assertions in file order; every task assertion
     must name a task of the trace."""
-    with open(args.properties, encoding="utf-8") as fh:
-        _defs, obligations = checker.parse_properties(fh.read())
+    _defs, obligations = checker.parse_properties(
+        "".join(read_lines(args.properties)))
     if not obligations:
         raise SchedCheckError("property file contains no assertions")
     known = {r.task_id for r in workload.records}
@@ -191,18 +191,17 @@ def _parse_scenario_file(path, base: ClusterConfig) -> whatif.Scenario:
     field of the base config, even with the field's default value."""
     label = ""
     lines, keys = [], []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#")[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key == "label":
-                label = value.strip()
-            else:
-                lines.append(line)
-                keys.append(key)
+    for raw in read_lines(path):
+        line = raw.split("#")[0].strip()
+        if not line:
+            continue
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key == "label":
+            label = value.strip()
+        else:
+            lines.append(line)
+            keys.append(key)
     overridden = parse_config_text("\n".join(lines))
     delta = {key: getattr(overridden, key) for key in keys}
     return whatif.Scenario(base, delta, label or path)
@@ -262,8 +261,7 @@ def cmd_whatif(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        spec = trace_mod.parse_generator_spec(fh.read())
+    spec = trace_mod.parse_generator_spec("".join(read_lines(args.spec)))
     generated = trace_mod.synthesize(spec, seed=args.seed)
     trace_mod.write(generated, args.out)
     st = trace_mod.stats(generated)
@@ -348,10 +346,6 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except UnicodeDecodeError as exc:
-        print(f"error: an input file is not UTF-8 text: {exc}",
-              file=sys.stderr)
         return 3
 
 

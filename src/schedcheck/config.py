@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, read_lines
 
 SCHEDULERS = ("fifo", "fair", "capacity")
 
@@ -43,10 +44,11 @@ class ClusterConfig:
             raise ConfigInvalid("fairness_wait_ms must be >= 1")
         if self.fair_pools < 1:
             raise ConfigInvalid("fair_pools must be >= 1")
-        if self.deadline_factor <= 0.0:
-            raise ConfigInvalid("deadline_factor must be > 0")
-        if self.speculation_factor < 1.0:
-            raise ConfigInvalid("speculation_factor must be >= 1")
+        # written so that nan fails each test too
+        if not 0.0 < self.deadline_factor < math.inf:
+            raise ConfigInvalid("deadline_factor must be finite and > 0")
+        if not 1.0 <= self.speculation_factor < math.inf:
+            raise ConfigInvalid("speculation_factor must be finite and >= 1")
         if not 0.0 <= self.reduce_slowstart <= 1.0:
             raise ConfigInvalid("reduce_slowstart must be in [0, 1]")
         if not self.capacity_queues:
@@ -113,5 +115,4 @@ def parse_config_text(text: str) -> ClusterConfig:
 
 
 def load_config(path) -> ClusterConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    return parse_config_text("".join(read_lines(path)))

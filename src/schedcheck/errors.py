@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and read_lines, the one
+reader of input files."""
 
 
 class SchedCheckError(Exception):
@@ -50,3 +51,18 @@ class NoFailuresInTruth(SchedCheckError):
 
 class PropertySyntaxError(SchedCheckError):
     """A property file line does not parse."""
+
+
+class NotText(SchedCheckError):
+    """An input file is not UTF-8 text."""
+
+
+def read_lines(path):
+    """The lines of the UTF-8 text file at `path`, read as they are drawn,
+    with their line ends untranslated (as csv wants them). A byte that is
+    not UTF-8 raises NotText, which names the file."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise NotText(f"{path} is not UTF-8 text: {exc}") from None

@@ -12,7 +12,10 @@ transition as a (build, arg) pair, in the fixed exploration order, without
 building any, and build(state, arg) makes the Transition. iter_transitions
 builds them one per next() and lets go of the state with the last one, so a
 search that keeps an iterator per path state keeps no half-run step code,
-and no state whose moves are all taken.
+and no state whose moves are all taken. Moves are pure: a new iterator over
+an equal state gives equal transitions in the same order, which lets the
+explorer drop the iterators of deep path states and rebuild them later by
+drawing the same number again (checker._rebuild).
 
 A state's fingerprint is a Zobrist-style sum (Zobrist 1970; the idea behind
 SPIN and TLC fingerprints): every task and job position has a fixed random
@@ -1117,7 +1120,10 @@ class _Transitions:
     """The iterator of iter_transitions. It lists the moves on the first
     next() and builds one transition a call; as it hands out the last one
     it lets go of the state, so a search stack entry whose moves are all
-    taken keeps nothing alive."""
+    taken keeps nothing alive. It is the only holder of its state on most
+    of a search path, so the explorer frees a path state by dropping its
+    iterator, and positions a new one where the dropped one was by drawing
+    as many transitions from it."""
     __slots__ = ("state", "moves")
 
     def __init__(self, state: GlobalState):

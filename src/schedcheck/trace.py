@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DuplicateTaskId, EmptyWorkload, MalformedRow,
-                     OrphanReduce, SpecInvalid)
+                     OrphanReduce, SpecInvalid, read_lines)
 
 HEADER = ("task_id", "job_id", "kind", "submit_ms", "duration_ms",
           "deadline_ms", "preferred_node", "outcome", "failure_cause")
@@ -110,14 +110,12 @@ def _parse_row(line_no, row) -> TaskRecord:
 
 
 def _iter_file_rows(path):
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if [f.strip().lower() for f in row] == list(HEADER):
-                continue
-            yield line_no, _parse_row(line_no, row)
+    for line_no, row in enumerate(csv.reader(read_lines(path)), start=1):
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        if [f.strip().lower() for f in row] == list(HEADER):
+            continue
+        yield line_no, _parse_row(line_no, row)
 
 
 def parse(paths) -> WorkloadTrace:

@@ -10,6 +10,7 @@ import pytest
 from fixtures import FIXTURES, mk_trace, random_workload, rec
 
 import oracle
+from test_acceptance import _GOALS_TEXT
 
 import schedcheck.checker as checker_mod
 import schedcheck.model as model_mod
@@ -74,6 +75,14 @@ class TestParseProperties:
     def test_syntax_errors(self, bad):
         with pytest.raises(PropertySyntaxError):
             parse_properties(bad + "\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_comparison_value_rejected(self, value):
+        text = (f"#define g completedscheduled >= {value};\n"
+                "#assert cluster reaches g;\n")
+        with pytest.raises(PropertySyntaxError,
+                           match=f"bad comparison value '{value}'"):
+            parse_properties(text)
 
     def test_rate_equality_becomes_at_least(self):
         _, (goal,) = parse_properties(
@@ -405,8 +414,9 @@ class TestAssertions:
 class TestSearchStack:
     def test_goal_hit_retains_no_step_frames(self):
         """At the goal hit of a deep first-witness search, the stack holds
-        no transition builder and no suspended step generator, and not
-        every state of the path."""
+        no transition builder and no suspended step generator, and the
+        states of the path only at checkpoints and in its last
+        CHECKPOINT_EVERY levels."""
         n = 2_000
         trace = synthesize(GeneratorSpec(n_tasks=n, node_count=8), seed=1)
         init = build_cluster(ClusterConfig(node_count=8, slots_per_node=2),
@@ -435,7 +445,63 @@ class TestSearchStack:
         assert steps > 1_000
         assert census["builders"] == 0, census
         assert census["generators"] == 0, census
-        assert census["states"] < steps, (census, steps)
+        every = checker_mod.CHECKPOINT_EVERY
+        assert census["states"] <= steps // every + every + 2, \
+            (census, steps)
+
+
+class TestCheckpoints:
+    """Any checkpoint spacing gives the same search: every verdict, count,
+    budget reason and witness of the default spacing, on the runs of the
+    golden pin (tests/test_explore_golden.py) and a search of each
+    fixture that a budget of 150 states stops or lets end. Spacings of 2,
+    3 and 5 rebuild on almost every backtrack. Time-budget stops depend on
+    the clock and are left out."""
+
+    NEVER = GoalExpr("never", (Atom("workload", "<", 0.0),))
+
+    @staticmethod
+    def _runs():
+        _, goals = parse_properties(_GOALS_TEXT)
+        out = {}
+        for name in sorted(FIXTURES):
+            init = build(name)
+            for strategy in STRATEGIES:
+                for goal in goals:
+                    out[name, goal.name, strategy] = verify(init, goal,
+                                                            strategy)
+                out[name, "budget", strategy] = verify(
+                    init, TestCheckpoints.NEVER, strategy, state_budget=150)
+            for tid in init.statics.tids:
+                for mode, phase in (("never", "Failed"),
+                                    ("eventually", "Processed")):
+                    out[name, tid, mode] = verify_assertion(
+                        init, TaskAssertion(tid, mode, PHASE_BY_NAME[phase]),
+                        "dfs-sym")
+        return {key: (r.verdict, r.states, r.transitions, r.reason,
+                      None if r.witness is None else r.witness.steps)
+                for key, r in out.items()}
+
+    @pytest.fixture(scope="class")
+    def default(self):
+        return self._runs()
+
+    @pytest.mark.parametrize("every", [2, 3, 5])
+    def test_spacing_changes_nothing(self, monkeypatch, default, every):
+        rebuilds = [0]
+        real = checker_mod._rebuild
+
+        def counting(stack, k):
+            rebuilds[0] += 1
+            return real(stack, k)
+
+        monkeypatch.setattr(checker_mod, "CHECKPOINT_EVERY", every)
+        monkeypatch.setattr(checker_mod, "_rebuild", counting)
+        runs = self._runs()
+        assert sum(r[0] == "unknown" for r in runs.values()) >= 15
+        assert rebuilds[0] > 0
+        diffs = [key for key in default if runs[key] != default[key]]
+        assert not diffs, (diffs[0], runs[diffs[0]], default[diffs[0]])
 
 
 class _Probe:
@@ -527,39 +593,58 @@ class TestCollectorPause:
         assert not any(probe.seen)
         assert gc.isenabled()
 
-    def test_explorer_makes_no_cycles(self, collector_on):
+    def test_explorer_makes_no_cycles(self, collector_on, monkeypatch):
         """What makes the pause safe: with the collector off, deep and
         exhaustive searches, hits and budget stops, leave nothing for it
-        to collect."""
+        to collect, at the default checkpoint spacing and at a spacing of
+        3, where the searches rebuild path states, some of them more than
+        200 levels deep: the 100-task model's first path ends near depth
+        300, and the search backtracks from there."""
+        rebuilt_at = []  # the path depth of each rebuild
+        real = checker_mod._rebuild
+
+        def rebuild(stack, every):
+            rebuilt_at.append(len(stack) - 1)
+            return real(stack, every)
+
+        monkeypatch.setattr(checker_mod, "_rebuild", rebuild)
         n = 2_000
         trace = synthesize(GeneratorSpec(n_tasks=n, node_count=8), seed=1)
         deep = build_cluster(ClusterConfig(node_count=8, slots_per_node=2),
                              trace)
         half = GoalExpr("half", (Atom("completedscheduled", ">=", n / 2),))
         last = deep.statics.tids[-1]
+        mid = build_cluster(ClusterConfig(node_count=8, slots_per_node=2),
+                            synthesize(GeneratorSpec(n_tasks=100,
+                                                     node_count=8), seed=1))
         small = build("speculative_copy")
         runs = [
             (deep, half, TaskAssertion(last, "never",
                                        PHASE_BY_NAME["Scheduled"])),
             (deep, self.NEVER, TaskAssertion(last, "eventually",
                                              PHASE_BY_NAME["Failed"])),
+            (mid, self.NEVER, TaskAssertion(mid.statics.tids[-1], "never",
+                                            PHASE_BY_NAME["Failed"])),
             (small, GOAL0, TaskAssertion("slow", "never",
                                          PHASE_BY_NAME["Failed"])),
             (small, self.NEVER, TaskAssertion("f1", "eventually",
                                               PHASE_BY_NAME["Processed"]))]
-        gc.collect()
-        gc.disable()
         verdicts = []
-        for init, goal, assertion in runs:
-            for strategy in STRATEGIES:
-                verdicts.append(verify(init, goal, strategy=strategy,
-                                       state_budget=3_000).verdict)
-                verdicts.append(verify_assertion(
-                    init, assertion, strategy=strategy,
-                    state_budget=3_000).verdict)
-        assert gc.collect() == 0
+        for every in (checker_mod.CHECKPOINT_EVERY, 3):
+            monkeypatch.setattr(checker_mod, "CHECKPOINT_EVERY", every)
+            gc.collect()
+            gc.disable()
+            for init, goal, assertion in runs:
+                for strategy in STRATEGIES:
+                    verdicts.append(verify(init, goal, strategy=strategy,
+                                           state_budget=3_000).verdict)
+                    verdicts.append(verify_assertion(
+                        init, assertion, strategy=strategy,
+                        state_budget=3_000).verdict)
+            assert gc.collect() == 0, every
         assert {"reachable", "unreachable", "violated", "holds",
                 "unknown"} <= set(verdicts), verdicts
+        assert max(rebuilt_at) > 200, max(rebuilt_at)
 
 
 class TestTracerContract:

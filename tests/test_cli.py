@@ -108,6 +108,21 @@ class TestVerify:
         assert code == 3
         assert f"argument {budget[0]}: must be >=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["deadline_factor = nan",
+                                      "deadline_factor = inf",
+                                      "speculation_factor = nan"])
+    def test_non_finite_factor_exits_three(self, tmp_path, capsys, line):
+        config, trace = write_fixture(tmp_path, "map_reduce_gate")
+        with open(config, "a") as fh:
+            fh.write(line + "\n")
+        code = main(["verify", "--config", config, "--trace", trace,
+                     "--properties", props(tmp_path, GOAL0_PROPS)])
+        assert code == 3
+        err = capsys.readouterr().err
+        key = line.split()[0]
+        assert err == f"error: {key} must be finite and " \
+            f"{'> 0' if key == 'deadline_factor' else '>= 1'}\n"
+
     def test_report_roundtrips(self, tmp_path):
         config, trace = write_fixture(tmp_path, "map_reduce_gate")
         out = tmp_path / "report.json"
@@ -360,8 +375,8 @@ class TestGoldenReports:
 
 
 class TestNonUtf8Input:
-    """A file argument that is not UTF-8 text exits 3 with one error line,
-    whichever command reads it."""
+    """A file argument that is not UTF-8 text exits 3 with one error line
+    that names the file, whichever command reads it."""
 
     @pytest.mark.parametrize("command,flag", [
         ("verify", "--trace"), ("verify", "--properties"),
@@ -388,7 +403,7 @@ class TestNonUtf8Input:
         assert main(args) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "not UTF-8" in err
+        assert f"{bad} is not UTF-8 text" in err
 
 
 class TestUsage:

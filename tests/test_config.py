@@ -19,7 +19,11 @@ class TestValidation:
         {"max_speculative": -1},
         {"fair_pools": 0},
         {"deadline_factor": 0.0},
+        {"deadline_factor": float("nan")},
+        {"deadline_factor": float("inf")},
         {"speculation_factor": 0.9},
+        {"speculation_factor": float("nan")},
+        {"speculation_factor": float("inf")},
         {"reduce_slowstart": 1.5},
         {"reduce_slowstart": -0.1},
         {"capacity_queues": ()},
@@ -70,6 +74,13 @@ class TestParsing:
         with pytest.raises(ConfigInvalid, match="capacity_queues") as err:
             parse_config_text(f"capacity_queues = {value}\n")
         assert value.split(",")[-1] in str(err.value)
+
+    @pytest.mark.parametrize("key", ["deadline_factor",
+                                     "speculation_factor"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_factor_rejected(self, key, value):
+        with pytest.raises(ConfigInvalid, match=f"{key} must be finite"):
+            parse_config_text(f"{key} = {value}\n")
 
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "cluster.conf"
