@@ -331,7 +331,7 @@ def _search(initial: GlobalState, strategy: str, state_budget: int,
         if t is None:
             successors = entry[1]
             if successors is None:
-                successors = _rebuild(stack, every)
+                successors = _rebuild(stack, every, sym)
             t = next(successors, None)
             if t is None:
                 stack.pop()
@@ -370,21 +370,25 @@ def _search(initial: GlobalState, strategy: str, state_budget: int,
     return result(verdicts[1])
 
 
-def _rebuild(stack: list, every: int):
+def _rebuild(stack: list, every: int, sym: bool):
     """Give the top entry of a _search stack its iterator back, and every
     entry between it and the nearest checkpoint below that lost theirs.
     From the checkpoint's state, each level draws as many transitions from
     a new iterator as its entry drew; the last one drawn leads to the next
     level. Moves are pure, so each state and each iterator's position are
-    the dropped ones. Returns the top entry's iterator."""
+    the dropped ones. Each level's state is fingerprinted, as the search
+    did when it met it, before its successors are drawn: a state takes its
+    fingerprint terms from its parent's (model.GlobalState._term). Returns
+    the top entry's iterator."""
     top = len(stack) - 1
     base = top - top % every
-    state = stack[base][2]
+    state = stack[base][2]  # fingerprinted when the search met it
     for entry in stack[base:]:
         successors = iter_transitions(state)
         for _ in range(entry[3]):
             t = next(successors)
         state = t.state
+        state.fingerprint(sym)
         if entry[1] is None:  # the checkpoint keeps its own
             entry[1] = successors
     return stack[top][1]

@@ -19,13 +19,22 @@ drawing the same number again (checker._rebuild).
 
 A state's fingerprint is a Zobrist-style sum (Zobrist 1970; the idea behind
 SPIN and TLC fingerprints): every task and job position has a fixed random
-key, a record's digest is the built-in hash() of an int tuple, and each
-transition adds key times digest change for the records it writes. The
-scalar and node parts are digested per fingerprint; the node part holds
-only what the task records leave open (the on flags, and under symmetry one
-class code per anonymous node), since on a reachable state the records fix
-which task holds which slot. See GlobalState.fingerprint for the collision
+key, a record's digest is the built-in hash() of an int tuple, and a state
+adds key times digest change for the records its transition wrote to its
+parent's sum. A transition only lists those writes; the state digests them
+when it is first fingerprinted, in the one view asked for, so a walk that
+never fingerprints (replay, run_to_quiescence) hashes no record. The scalar
+and node parts are digested per fingerprint; the node part holds only what
+the task records leave open (the on flags, and under symmetry one class
+code per anonymous node), since on a reachable state the records fix which
+task holds which slot. See GlobalState.fingerprint for the collision
 bound.
+
+A completion scans the running tasks for stragglers only once the clock
+has reached a bound that each state carries (GlobalState.spec_due): a
+lower bound on the earliest clock at which a running task could be
+copied, lowered where a task starts or a sibling's finish changes an
+estimate. Most completions so skip the scan; see _speculation_scan.
 
 A state holds its run (Statics, the config among it) by one pointer, and
 beside it only what a transition writes. The base queue is split once, per
@@ -290,17 +299,22 @@ class GlobalState:
     __slots__ = ("statics", "tasks", "jobs", "nodes", "pool_running",
                  "pool_cursor", "pool_held", "pool_gone", "extra", "clock",
                  "counters", "namenode_on", "jobtracker_on", "running",
-                 "sched_pending", "_th_sym", "_th_plain")
+                 "sched_pending", "spec_due", "_writes", "_from_sym",
+                 "_from_plain", "_th_sym", "_th_plain")
 
     def __init__(self, statics: Statics, nodes: tuple, tasks: tuple,
                  jobs: tuple, pool_running: tuple, pool_cursor: tuple,
                  pool_held: tuple, pool_gone: tuple, extra=(), clock=0,
                  counters=Counters(), namenode_on=False, jobtracker_on=False,
-                 running=(), sched_pending=(), th_sym=0, th_plain=0):
+                 running=(), sched_pending=(), spec_due=-math.inf, writes=(),
+                 th_sym=None, th_plain=None):
         """The one constructor of a state; the defaults, with all-default
         task and job tables and the full queue, are the cold cluster that
-        build_cluster starts from. `statics` is the one pointer to the run;
-        every other field is one that a transition writes.
+        build_cluster starts from, except that build_cluster knows its
+        straggler bound (inf) and fingerprint terms (0), where the defaults
+        make a state built by hand scan in full and sum its terms. `statics`
+        is the one pointer to the run; every other field is one that a
+        transition writes.
 
         The pool_ fields keep per pool (fifo has one) what the policies
         would otherwise rebuild on every decision: its occupied slots,
@@ -315,7 +329,24 @@ class GlobalState:
         and the upkeep is one short tuple copy per held reduce taken, none
         for a map taken past the cursor. Like the slots, these are
         functions of the task records, so neither canonical_key nor
-        fingerprint reads them."""
+        fingerprint reads them.
+
+        spec_due is a lower bound on the earliest clock at which a running
+        task could pass the straggler test of _speculation_scan: the least
+        due, start + speculation_factor * (tot / cnt), of the running tasks
+        with speculations left and a finished sibling of their kind. It
+        depends on the run that reached the state (a task that stops
+        running leaves its due behind until the next full scan), so it is
+        history, not identity, and neither canonical_key nor fingerprint
+        reads it either. With max_speculative 0 nothing keeps it.
+
+        writes lists the (position, old record, new record) writes that
+        made this state from its parent (task position i as i, job
+        position j as n + j), and th_sym and th_plain are the parent's
+        position terms of the fingerprint (see fingerprint), None where the
+        parent never took them; the state takes its own on first read
+        (_term). A state keeps no reference to its parent, so a walk that
+        never fingerprints frees each state once the next is built."""
         self.statics = statics
         self.tasks = tasks
         self.jobs = jobs
@@ -331,8 +362,11 @@ class GlobalState:
         self.jobtracker_on = jobtracker_on
         self.running = running
         self.sched_pending = sched_pending
-        self._th_sym = th_sym
-        self._th_plain = th_plain
+        self.spec_due = spec_due
+        self._writes = writes
+        self._from_sym = th_sym
+        self._from_plain = th_plain
+        self._th_sym = self._th_plain = None
 
     @property
     def config(self) -> ClusterConfig:
@@ -521,9 +555,13 @@ class GlobalState:
         d_i the hash() of its record's view (the record itself, or _sym_rt's
         view of a task under sym) and d0_i that of the default record. s and
         m are the hash() of _scalar_key and of _node_view, S and N their
-        keys (_SCALAR_KEY, _NODES_KEY). _Builder keeps the position terms,
-        one sum per view, with the job terms in both; s and m are taken
-        here.
+        keys (_SCALAR_KEY, _NODES_KEY). The position terms, one sum per
+        view with the job terms in both, are taken on the first call in
+        that view from the parent's and the writes that made the state
+        (_term), and kept; s and m are taken on every call. The search
+        fingerprints a state before it draws the state's successors, so
+        each of them starts from its parent's sum; a state whose parent
+        was never fingerprinted in the view sums every position once.
 
         The node part digests only the node facts that the task views leave
         open. On every reachable state the occupied slots are exactly the
@@ -546,12 +584,63 @@ class GlobalState:
         64-bit hash() collision between two views at the same position. No
         view holds a str, whose hash is salted per process, or a field that
         can be both -1 and -2, which hash alike."""
-        th = self._th_sym if sym else self._th_plain
-        return (th + _SCALAR_KEY * hash(_scalar_key(self))
+        return (self._term(sym) + _SCALAR_KEY * hash(_scalar_key(self))
                 + _NODES_KEY * hash(_node_view(self, sym)))
+
+    def _term(self, sym: bool) -> int:
+        """The position terms of the fingerprint in one view, taken on
+        first read and kept: the parent's terms plus K_k (d(new) - d(old))
+        for each write (k, old, new) that made the state, or, if the parent
+        never took its terms in this view, the full sum (_full_term)."""
+        th = self._th_sym if sym else self._th_plain
+        if th is not None:
+            return th
+        th = self._from_sym if sym else self._from_plain
+        if th is None:
+            th = _full_term(self, sym)
+        else:
+            st = self.statics
+            keys = st.keys
+            if sym:
+                n, named = st.workload, st.named_nodes
+                for k, old, new in self._writes:
+                    if k < n:  # a task's view; a job's is its record
+                        new, old = _sym_rt(new, named), _sym_rt(old, named)
+                    th += (keys[k] or st.key(k)) * (hash(new) - hash(old))
+            else:
+                for k, old, new in self._writes:
+                    th += (keys[k] or st.key(k)) * (hash(new) - hash(old))
+        if sym:
+            self._th_sym = th
+        else:
+            self._th_plain = th
+        return th
 
     def is_terminal(self) -> bool:
         return not enabled_moves(self)
+
+
+def _full_term(state: GlobalState, sym: bool) -> int:
+    """The position terms of the fingerprint in one view from scratch, in
+    O(n): the sum over every task and job position of its key times its
+    digest change from the default record (see GlobalState.fingerprint)."""
+    st = state.statics
+    n = st.workload
+    tasks = table_records(state.tasks, n)
+    if sym:
+        named = st.named_nodes
+        tasks = [_sym_rt(rt, named) for rt in tasks]
+        d0 = hash(_sym_rt(DEFAULT_RT, named))
+    else:
+        d0 = hash(DEFAULT_RT)
+    d0_job = hash(DEFAULT_JOB)
+    th = 0
+    for k, d in enumerate([hash(view) - d0 for view in tasks] + [
+            hash(job) - d0_job
+            for job in table_records(state.jobs, len(st.job_ids))]):
+        if d:  # a default record adds nothing; its key is not made
+            th += (st.keys[k] or st.key(k)) * d
+    return th
 
 
 def canonical_key(state: GlobalState, sym: bool) -> tuple:
@@ -663,12 +752,15 @@ def _sym_rt(rt: TaskRT, named: frozenset) -> tuple:
 class _Builder:
     """Accumulates one transition's changes and produces the new state.
 
-    It keeps the task and job terms of the fingerprint sum (see
-    GlobalState.fingerprint) exact: writing position i adds K_i times the
-    change of its digest to the plain and the symmetric sum (a job's view
-    is the same in both). The counters are a list (indexed by _TRACKERS ..
-    _FREE) until the state is built, and so are the pools' running slots
-    once a slot is written (`used`).
+    It hashes nothing: each task or job record it writes goes into
+    `writes` as (position, old, new), task position i as i, job position j
+    as n + j, and the new state takes them with the source state's
+    fingerprint terms, from which it takes its own only if it is
+    fingerprinted (GlobalState._term). A walk that never fingerprints,
+    such as replay or run_to_quiescence, so pays for no digest. The
+    counters are a list (indexed by _TRACKERS .. _FREE) until the state is
+    built, and so are the pools' running slots once a slot is written
+    (`used`).
 
     Transitions write records by position, tuple.__new__ over the record's
     fields in order, not by NamedTuple._replace, which costs about four
@@ -690,8 +782,8 @@ class _Builder:
         self.jobtracker_on = state.jobtracker_on
         self.running = state.running
         self.sched_pending = state.sched_pending
-        self.th_sym = state._th_sym
-        self.th_plain = state._th_plain
+        self.spec_due = state.spec_due
+        self.writes = []
         self.changed = []
         self.taken = []  # positions that left SUBMITTED, in write order
 
@@ -705,20 +797,13 @@ class _Builder:
             self.changed.append((st.tids[i], old.phase, rt.phase))
             if old.phase == SUBMITTED:
                 self.taken.append(i)
-        key, named = st.keys[i] or st.key(i), st.named_nodes
-        self.th_plain += key * (hash(rt) - hash(old))
-        self.th_sym += key * (hash(_sym_rt(rt, named))
-                              - hash(_sym_rt(old, named)))
+        self.writes.append((i, old, rt))
         self.tasks = table_set(self.tasks, i, rt)
 
     def set_job(self, i: int, rt: JobRT):
         """Set the record of the job at position i."""
-        st = self.src.statics
-        k = st.workload + i
-        old = table_get(self.jobs, i)
-        term = (st.keys[k] or st.key(k)) * (hash(rt) - hash(old))
-        self.th_plain += term
-        self.th_sym += term
+        self.writes.append((self.src.statics.workload + i,
+                            table_get(self.jobs, i), rt))
         self.jobs = table_set(self.jobs, i, rt)
 
     def set_slot(self, node_i, slot_k, occupant):
@@ -810,8 +895,8 @@ class _Builder:
             src.pool_running if used is None else tuple(used), self.cursor,
             self.held, self.gone, self.extra, self.clock,
             tuple.__new__(Counters, self.counters), self.namenode_on,
-            self.jobtracker_on, self.running, self.sched_pending, self.th_sym,
-            self.th_plain)
+            self.jobtracker_on, self.running, self.sched_pending,
+            self.spec_due, self.writes, src._th_sym, src._th_plain)
 
 
 def _next_map(order: tuple, c: int, tasks: tuple, kind: tuple):
@@ -843,7 +928,8 @@ def build_cluster(config: ClusterConfig, workload: WorkloadTrace) -> GlobalState
     k = len(cursor)
     return GlobalState(st, nodes, tasks,
                        new_table(len(st.job_ids), DEFAULT_JOB), (0,) * k,
-                       cursor, held, ((),) * k)
+                       cursor, held, ((),) * k, spec_due=math.inf, th_sym=0,
+                       th_plain=0)
 
 
 # --------------------------------------------------------------------------
@@ -979,6 +1065,16 @@ def _execute(state: GlobalState, p: int) -> Transition:
     c[_NONLOCAL] += 1 - local
     if start - submit <= cfg.fairness_wait_ms:
         c[_SERVED_FAIR] += 1
+    if cfg.max_speculative:  # spec is 0: a task executes once
+        # a job record starts (fin_maps, fin_map_dur, fin_reds,
+        # fin_red_dur); indexing it costs a fraction of unpacking it
+        j = st.job_of[p]
+        job = state.jobs[j >> 10][(j >> 5) & 31][j & 31]
+        k = 0 if st.kind[p] == CODE_MAP else 2
+        if job[k]:
+            due = start + cfg.speculation_factor * (job[k + 1] / job[k])
+            if due < b.spec_due:
+                b.spec_due = due
     return Transition(Event(f"execute.{st.tids[p]}"), b.finish(),
                       tuple(b.changed))
 
@@ -1023,20 +1119,51 @@ def _cascade(b: _Builder, j: int, skip: int):
         b.extra = tuple(p for p in b.extra if st.job_of[p] != j)
 
 
+def _lower_spec_due(b: _Builder, j: int, kind: int):
+    """A task of job j and kind `kind` finished, which changed the mean of
+    its finished siblings of that kind: lower the bound (spec_due, see
+    GlobalState) with the new due of each of its running siblings of that
+    kind that has speculations left."""
+    st = b.src.statics
+    cfg = st.config
+    job = table_get(b.jobs, j)
+    k = 0 if kind == CODE_MAP else 2  # as in _execute
+    limit = cfg.max_speculative
+    x = cfg.speculation_factor * (job[k + 1] / job[k])
+    tasks, kinds = b.tasks, st.kind
+    due = b.spec_due
+    for i in st.job_tasks[j]:
+        if kinds[i] == kind:
+            rt = tasks[i >> 10][(i >> 5) & 31][i & 31]
+            if rt.phase == PROCESSED and rt.spec_count < limit and \
+                    rt.start + x < due:
+                due = rt.start + x
+    b.spec_due = due
+
+
 def _speculation_scan(b: _Builder):
     """Enqueue speculative copies for stragglers: elapsed beyond
     speculation_factor times the mean duration of finished siblings of the
-    same kind. No sibling estimate means no speculation."""
+    same kind. No sibling estimate means no speculation.
+
+    The scan reads every running task, so it runs only once the clock has
+    reached the bound spec_due (see GlobalState), and then sets the bound
+    to the least due of the tasks it leaves with speculations left. The
+    test compares the int elapsed time with the float X = factor * (tot /
+    cnt), exactly, so a task that passes it has a due fl(start + X) <=
+    clock: a clock below the bound passes no test, and skipping the scan
+    there changes nothing."""
     st = b.src.statics
     cfg = st.config
     limit = cfg.max_speculative
-    if limit == 0:
+    if limit == 0 or b.clock < b.spec_due:
         return
     factor, clock = cfg.speculation_factor, b.clock
     job_of, kind = st.job_of, st.kind
     # set_task below writes only the record of the task in hand, which the
     # loop does not read again, so the tables it started from serve it
     tasks, jobs = b.tasks, b.jobs
+    due = math.inf
     for _end, _rank, i in b.running:
         rt = tasks[i >> 10][(i >> 5) & 31][i & 31]
         if rt.spec_count >= limit:
@@ -1050,13 +1177,18 @@ def _speculation_scan(b: _Builder):
             cnt, tot = fin_reds, fin_red_dur
         if cnt == 0:
             continue
-        estimate = tot / cnt
-        if clock - rt.start > factor * estimate:
+        x = factor * (tot / cnt)
+        if clock - rt.start > x:
             b.extra += (i,)
             phase, start, finish, node, slot, local, cause, spec, copies, dl = rt
             b.set_task(i, tuple.__new__(TaskRT, (
                 phase, start, finish, node, slot, local, cause, spec + 1,
                 copies, dl)))
+            if spec + 1 == limit:
+                continue
+        if rt.start + x < due:
+            due = rt.start + x
+    b.spec_due = due
 
 
 def _complete(state: GlobalState, _arg) -> Transition:
@@ -1111,6 +1243,10 @@ def _complete(state: GlobalState, _arg) -> Transition:
             fin_red_dur += dur
         b.set_job(ji, tuple.__new__(JobRT, (
             fin_maps, fin_map_dur, fin_reds, fin_red_dur, failed)))
+        # the scan below resets the bound whenever the clock has reached
+        # it, and with nothing running there is no sibling to lower it for
+        if cfg.max_speculative and b.running and b.clock < b.spec_due:
+            _lower_spec_due(b, ji, st.kind[ti])
         event = Event(f"complete.{st.tids[ti]}")
     _speculation_scan(b)
     return Transition(event, b.finish(), tuple(b.changed))

@@ -111,6 +111,21 @@ def check_state(state):
             assert queued + len(rt.copies) == rt.spec_count, \
                 f"speculations of {tid} neither queued nor running"
 
+    # the straggler bound: no running task with speculations left and a
+    # finished sibling of its kind is due before it
+    cfg = state.config
+    for p, tid in enumerate(st.tids):
+        rt = state.task(tid)
+        if rt.phase == PROCESSED and rt.spec_count < cfg.max_speculative:
+            job = state.job(st.job_ids[st.job_of[p]])
+            cnt, tot = ((job.fin_maps, job.fin_map_dur)
+                        if st.kind[p] == CODE_MAP
+                        else (job.fin_reds, job.fin_red_dur))
+            if cnt:
+                assert state.spec_due <= \
+                    rt.start + cfg.speculation_factor * (tot / cnt), \
+                    f"{tid} is due before the straggler bound"
+
     # back-pointers: the occupied slots are exactly the slots that the
     # SCHEDULED and PROCESSED tasks and their copies claim, one claim each
     # (a slot holds the position p of a task or n + p of its copy)

@@ -491,9 +491,9 @@ class TestCheckpoints:
         rebuilds = [0]
         real = checker_mod._rebuild
 
-        def counting(stack, k):
+        def counting(*args):
             rebuilds[0] += 1
-            return real(stack, k)
+            return real(*args)
 
         monkeypatch.setattr(checker_mod, "CHECKPOINT_EVERY", every)
         monkeypatch.setattr(checker_mod, "_rebuild", counting)
@@ -502,6 +502,37 @@ class TestCheckpoints:
         assert rebuilds[0] > 0
         diffs = [key for key in default if runs[key] != default[key]]
         assert not diffs, (diffs[0], runs[diffs[0]], default[diffs[0]])
+
+    @pytest.mark.parametrize("every", [None, 2])
+    def test_searches_take_no_full_fingerprint_sum(self, monkeypatch, every):
+        """The search fingerprints a state before it draws the state's
+        successors, and _rebuild fingerprints each level it redraws, so
+        every state that a search fingerprints takes its terms from its
+        parent's: none of the runs takes the O(n) sum (model._full_term),
+        at the default spacing or at 2, which rebuilds on almost every
+        backtrack. A state whose parent was never fingerprinted does."""
+        full, rebuilds = [], [0]
+        real_full, real_rebuild = model_mod._full_term, checker_mod._rebuild
+
+        def counting_full(state, sym):
+            full.append(sym)
+            return real_full(state, sym)
+
+        def counting_rebuild(*args):
+            rebuilds[0] += 1
+            return real_rebuild(*args)
+
+        monkeypatch.setattr(model_mod, "_full_term", counting_full)
+        monkeypatch.setattr(checker_mod, "_rebuild", counting_rebuild)
+        if every is not None:
+            monkeypatch.setattr(checker_mod, "CHECKPOINT_EVERY", every)
+        assert len(self._runs()) > 200
+        assert full == []
+        assert (rebuilds[0] > 0) == (every is not None)
+        init = build("map_reduce_gate")
+        child = next(iter_transitions(init)).state
+        next(iter_transitions(child)).state.fingerprint(True)
+        assert full == [True]
 
 
 class _Probe:
@@ -603,9 +634,9 @@ class TestCollectorPause:
         rebuilt_at = []  # the path depth of each rebuild
         real = checker_mod._rebuild
 
-        def rebuild(stack, every):
+        def rebuild(stack, *args):
             rebuilt_at.append(len(stack) - 1)
-            return real(stack, every)
+            return real(stack, *args)
 
         monkeypatch.setattr(checker_mod, "_rebuild", rebuild)
         n = 2_000

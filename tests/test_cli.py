@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -412,6 +415,23 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_python_m_runs_the_command_line(self, tmp_path):
+        """`python -m schedcheck` runs cli.main with its exit codes, so a
+        source checkout needs no installed console script."""
+        config, trace = write_fixture(tmp_path, "map_reduce_gate")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "schedcheck", *args], cwd=tmp_path,
+                env=env, capture_output=True, text=True, timeout=120)
+
+        done = run("verify", "--config", config, "--trace", trace,
+                   "--properties", props(tmp_path, GOAL0_PROPS))
+        assert done.returncode == 0, done.stderr
+        assert "cluster reaches goal0" in done.stdout
+        assert run("frobnicate").returncode == 3
 
 
 def test_pyproject_version_is_the_package_version():

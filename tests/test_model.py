@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -8,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from fixtures import FIXTURES, mk_trace, random_workload, rec
+from invariants import check_state
 
+import schedcheck.model as model_mod
 from schedcheck.config import ClusterConfig
 from schedcheck.errors import EmptyWorkload
 from schedcheck.model import (_NODES_KEY, _SCALAR_KEY, CAUSE_CASCADE,
@@ -16,7 +20,8 @@ from schedcheck.model import (_NODES_KEY, _SCALAR_KEY, CAUSE_CASCADE,
                               CAUSE_TIMEOUT, DEFAULT_JOB, DEFAULT_RT, FAILED,
                               FINISHED_AFTER_DEADLINE,
                               FINISHED_WITHIN_DEADLINE, PROCESSED, SCHEDULED,
-                              SUBMITTED, WAITING_RESOURCES, TaskRT, _Builder,
+                              SUBMITTED, WAITING_RESOURCES, GlobalState,
+                              StepRecord, TaskRT, _Builder, _complete,
                               _node_view, _scalar_key, _sym_rt, build_cluster,
                               canonical_key, iter_transitions, replay,
                               table_records, terminal_summary, wait_for_graph)
@@ -276,6 +281,34 @@ class TestOutcomes:
         slow = state.statics.idx_of["slow"]
         assert state.extra == ((slow,) if copied else ())
 
+    @pytest.mark.parametrize("limit", [1, 2])
+    def test_straggler_is_flagged_again_up_to_the_limit(self, limit):
+        """A task still straggling at a later completion is flagged again,
+        one more speculative entry each time, until it holds
+        max_speculative of them. The walk takes the first enabled
+        transition but leaves the copies queued."""
+        records = [rec("m0", "j1", "map", 0, 100),
+                   rec("slow", "j1", "map", 0, 200_000)]
+        records += [rec(f"x{k}", "j2", "map", 0, 1_000 * k)
+                    for k in (1, 2, 3)]
+        config = ClusterConfig(node_count=len(records), slots_per_node=1,
+                               max_speculative=limit, speculation_factor=2.0)
+        state = build_cluster(config, mk_trace(records))
+        slow = state.statics.idx_of["slow"]
+        flagged = {}
+        while "complete.x3" not in flagged:
+            t = next(t for t in iter_transitions(state)
+                     if not t.event.name.startswith("assign_spec."))
+            state = t.state
+            if t.event.name.startswith("complete."):
+                flagged[t.event.name] = state.extra.count(slow)
+                assert state.task("slow").spec_count == \
+                    state.extra.count(slow)
+        # m0's 100 ms makes the due 200 ms; each x completes past it
+        assert flagged == {"complete.m0": 0, "complete.x1": 1,
+                           "complete.x2": min(2, limit),
+                           "complete.x3": min(3, limit)}
+
     def test_speculative_limit_cause(self):
         # drive a run in which the straggler is speculated before timing out
         stack = [build("speculative_limit")]
@@ -295,6 +328,67 @@ class TestOutcomes:
         # and failed after a copy was granted (SpeculativeLimit)
         assert CAUSE_SPECULATIVE in causes
         assert CAUSE_TIMEOUT in causes
+
+
+class TestStragglerBound:
+    """The bound spec_due only spares scans that would flag nothing."""
+
+    @staticmethod
+    def _unbounded(state):
+        """A copy of state whose bound is -inf, so its completion scans
+        every running task."""
+        copy = object.__new__(GlobalState)
+        for name in GlobalState.__slots__:
+            setattr(copy, name, getattr(state, name))
+        copy.spec_due = -math.inf
+        return copy
+
+    @pytest.mark.parametrize("limit", [1, 2])
+    def test_bound_changes_no_completion(self, monkeypatch, limit):
+        """On random walks over random workloads, every completion's
+        successor equals the one a full scan gives: by canonical key, by
+        the order of the speculative entries and by every spec_count. Every
+        walk state keeps the invariants, the bound's among them. Both kinds
+        of completion occur: scans that the bound spares, and scans that
+        flag a task, a second time under a limit of 2."""
+        skipped, flagged = [0], [0] * (limit + 1)
+        real = model_mod._speculation_scan
+
+        def counting(b):
+            skipped[0] += 0 < b.src.config.max_speculative and \
+                b.clock < b.spec_due
+            real(b)
+
+        monkeypatch.setattr(model_mod, "_speculation_scan", counting)
+        rng = random.Random(30 + limit)
+        for _ in range(150):
+            config, trace = random_workload(rng)
+            state = build_cluster(
+                dataclasses.replace(config, max_speculative=limit), trace)
+            check_state(state)
+            while True:
+                ts = list(iter_transitions(state))
+                if not ts:
+                    break
+                if state.running:  # the completion is the last move
+                    got = ts[-1]
+                    want = _complete(self._unbounded(state), None)
+                    assert got.event == want.event
+                    assert got.changed == want.changed
+                    for sym in (False, True):
+                        assert canonical_key(got.state, sym) == \
+                            canonical_key(want.state, sym)
+                    assert got.state.extra == want.state.extra
+                    before, specs, full = (
+                        [rt.spec_count for rt in table_records(
+                            s.tasks, s.statics.workload)]
+                        for s in (state, got.state, want.state))
+                    assert specs == full
+                    for old, new in zip(before, specs):
+                        flagged[new] += new > old
+                state = rng.choice(ts).state
+                check_state(state)
+        assert skipped[0] > 0 and all(flagged[1:]), (skipped, flagged)
 
 
 class TestDeadlock:
@@ -491,40 +585,85 @@ class TestFingerprints:
                             assert key_of[sym].setdefault(fp, key) == key
                     state = rng.choice(succs) if succs else None
 
+    @staticmethod
+    def _terms_from_scratch(s) -> tuple:
+        """The plain and the symmetric position terms of state s: the sum
+        over every task and job position of its key times (hash of its view
+        - hash of the default view)."""
+        st = s.statics
+        n, n_jobs, named = st.workload, len(st.job_ids), st.named_nodes
+        keys = [st.keys[k] or st.key(k) for k in range(n + n_jobs)]
+        tasks = table_records(s.tasks, n)
+        d0_plain, d0_sym = hash(DEFAULT_RT), hash(_sym_rt(DEFAULT_RT, named))
+        plain = sum(key * (hash(rt) - d0_plain)
+                    for key, rt in zip(keys, tasks))
+        sym = sum(key * (hash(_sym_rt(rt, named)) - d0_sym)
+                  for key, rt in zip(keys, tasks))
+        jobs = sum(key * (hash(job) - hash(DEFAULT_JOB)) for key, job
+                   in zip(keys[n:], table_records(s.jobs, n_jobs)))
+        return plain + jobs, sym + jobs
+
     def test_position_terms_equal_a_sum_from_scratch(self):
-        """Along random walks, the task and job terms that _Builder keeps
-        incrementally equal a sum over every task and job position of its
-        key times (hash of its view - hash of the default view), and the
-        fingerprint is that sum plus the scalar and node terms."""
+        """Along random walks, the task and job terms that each state takes
+        from its parent's and the writes that made it equal the sum from
+        scratch, and the fingerprint is that sum plus the scalar and node
+        terms."""
         rng = random.Random(14)
         for _ in range(60):
             init = build_cluster(*random_workload(rng))
-            st = init.statics
-            n, n_jobs, named = st.workload, len(st.job_ids), st.named_nodes
-            keys = [st.keys[k] or st.key(k) for k in range(n + n_jobs)]
-            d0_plain = hash(DEFAULT_RT)
-            d0_sym = hash(_sym_rt(DEFAULT_RT, named))
-            d0_job = hash(DEFAULT_JOB)
             for _walk in range(3):
                 state = init
                 while state is not None:
                     succs = [t.state for t in iter_transitions(state)]
                     for s in [state] + succs:
-                        tasks = table_records(s.tasks, n)
-                        plain = sum(key * (hash(rt) - d0_plain)
-                                    for key, rt in zip(keys, tasks))
-                        sym = sum(key * (hash(_sym_rt(rt, named)) - d0_sym)
-                                  for key, rt in zip(keys, tasks))
-                        jobs = sum(key * (hash(job) - d0_job) for key, job
-                                   in zip(keys[n:], table_records(s.jobs,
-                                                                  n_jobs)))
-                        assert (s._th_plain, s._th_sym) == \
-                            (plain + jobs, sym + jobs)
+                        want = self._terms_from_scratch(s)
+                        assert (s._term(False), s._term(True)) == want
                         scalar = _SCALAR_KEY * hash(_scalar_key(s))
-                        for flag, th in ((False, plain), (True, sym)):
-                            assert s.fingerprint(flag) == th + jobs + scalar \
-                                + _NODES_KEY * hash(_node_view(s, flag))
+                        for flag in (False, True):
+                            assert s.fingerprint(flag) == want[flag] + \
+                                scalar + _NODES_KEY * hash(_node_view(s, flag))
                     state = rng.choice(succs) if succs else None
+
+    def test_terms_after_parents_never_fingerprinted(self):
+        """A state whose parent never took its terms in a view takes the
+        full sum in that view (model._full_term), and its children take
+        theirs from it: on random walks fingerprinted every few steps, in
+        one view at a time, every term equals the sum from scratch."""
+        rng = random.Random(15)
+        for _ in range(60):
+            state = build_cluster(*random_workload(rng))
+            for step in itertools.count(1):
+                succs = [t.state for t in iter_transitions(state)]
+                if not succs:
+                    break
+                state = rng.choice(succs)
+                if step % 3 == 0:
+                    flag = rng.random() < 0.5
+                    assert state._term(flag) == \
+                        self._terms_from_scratch(state)[flag]
+            for flag in (False, True):
+                assert state._term(flag) == \
+                    self._terms_from_scratch(state)[flag]
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_terms_of_replayed_states(self, name):
+        """run_to_quiescence and replay fingerprint no state on the way:
+        the states they end in, the same state reached twice, and their
+        successors take terms equal to the sum from scratch."""
+        from schedcheck.analysis import run_to_quiescence
+        init = build(name)
+        steps = []
+        end = run_to_quiescence(init, on_step=lambda t: steps.append(
+            StepRecord(t.event.name, t.event.payload, t.changed,
+                       t.state.clock)))
+        mid = replay(init, steps[:len(steps) // 2])
+        ends = [end, replay(init, steps), mid]
+        ends += [t.state for t in iter_transitions(mid)]
+        for s in ends:
+            assert (s._term(False), s._term(True)) == \
+                self._terms_from_scratch(s)
+        for flag in (False, True):
+            assert ends[0].fingerprint(flag) == ends[1].fingerprint(flag)
 
     def test_fingerprints_do_not_depend_on_the_hash_seed(self):
         """str hashes are salted per process, and a larger model built first
