@@ -5,17 +5,17 @@ on the full state, `dfs-sym` on a canonical form that treats nodes no task
 prefers (and slots within a node) as interchangeable, which is sound because
 such nodes are behaviourally identical.
 
-The search stack has one entry per state of the current path: that
-state's successor iterator, the first transition drawn from it (to tell a
-dead end) until it is taken, and how many transitions it has given. Path
-states are kept only at checkpoints, every CHECKPOINT_EVERY levels, and in
-the last CHECKPOINT_EVERY levels of the path: deeper entries drop their
-iterators, and with them their states, and a backtrack into them rebuilds
-them by redrawing the same transitions from the checkpoint below
-(state-space caching with replay: Godefroid, Holzmann & Pirottin, "State-space
-caching revisited", 1995). Moves are pure, so the rebuilt states are the
-dropped ones. A search of depth d so keeps O(d / 64 + 64) states alive,
-and the witness path one StepRecord per step.
+The search stack is the current path, one entry per state (see _search):
+the state's successor iterator, its fingerprint's position sum, chained
+from its parent's (model.sum_after), and the StepRecord that reached it,
+from which a hit's witness is read. Path states and sums are kept only at
+checkpoints, every CHECKPOINT_EVERY levels, and in the last
+CHECKPOINT_EVERY levels of the path: deeper entries drop them, and a
+backtrack into them rebuilds them by redrawing the same transitions from
+the checkpoint below (state-space caching with replay: Godefroid, Holzmann
+& Pirottin, "State-space caching revisited", 1995). Moves are pure, so the
+rebuilt states are the dropped ones. A search of depth d so keeps
+O(d / 64 + 64) states alive, and one StepRecord per step.
 
 The cyclic garbage collector is paused for the span of a search. A deep
 search keeps one StepRecord per step alive, and each collection would
@@ -58,15 +58,15 @@ from typing import NamedTuple
 
 from .errors import PropertySyntaxError, UnknownTask
 from .model import (PHASE_BY_NAME, GlobalState, StepRecord, WitnessTrace,
-                    iter_transitions, make_witness)
+                    iter_transitions, make_witness, position_sum, sum_after)
 # compute_rates is no longer called here, but perfbench/tracing.py times it
 # through this module's binding too
 from .rates import RANGES, READERS, compute_rates
 
 STRATEGIES = ("dfs", "dfs-sym")
 
-# _search keeps the full state of every path level that is a multiple of
-# this, and rebuilds the levels between from there on a deep backtrack
+# _search keeps the state and sum of every path level that is a multiple
+# of this, and rebuilds the levels between from there on a deep backtrack
 CHECKPOINT_EVERY = 64
 
 _METRICS = frozenset(READERS)
@@ -284,46 +284,52 @@ def _search(initial: GlobalState, strategy: str, state_budget: int,
     target is hit. `verdicts` names the outcome as (hit, no hit): the first
     hit gives verdicts[0] and its witness, a search that runs to the end
     verdicts[1], and a spent budget "unknown", with a reason that names the
-    depth and clock of the state being expanded.
+    depth and clock of the state being expanded. The state budget is spent
+    when a new state is met with state_budget states visited already, so
+    an unknown result counts exactly state_budget.
 
-    A stack entry is [first, successors, checkpoint, drawn] for the state
-    at the depth of its index: the first transition its iterator gave,
-    drawn early to learn whether the state is a dead end, or None once it
-    is taken; its successors iterator, from iter_transitions; the state
-    itself if the depth is a multiple of k = CHECKPOINT_EVERY (a
-    checkpoint), else None; and how many transitions the iterator has
-    given. As the path reaches depth d, the entry at d - k loses its
-    iterator, and with it its state, unless it is a checkpoint, so the
-    stack keeps O(d / k + k) states alive. A top entry without an iterator
-    is rebuilt from the checkpoint below it (_rebuild); the transitions
-    redrawn there are not counted in `transitions`. Every transition is
-    drawn through this module's iter_transitions with next() alone, so a
-    tracer may rebind that name to any iterator."""
+    A stack entry is [first, successors, checkpoint, drawn, psum, step]
+    for the state at the depth of its index: the first transition its
+    iterator gave, drawn early to learn whether the state is a dead end,
+    or None once it is taken; its successors iterator, from
+    iter_transitions; the state itself if the depth is a multiple of k =
+    CHECKPOINT_EVERY (a checkpoint), else None; how many transitions the
+    iterator has given; the state's position sum (only the initial
+    state's is taken from scratch); and the StepRecord that reached it
+    (None for the initial state). As the path reaches depth d, the entry
+    at d - k loses its iterator, and with it its state, and its sum,
+    unless it is a checkpoint, so the stack keeps O(d / k + k) of each. A
+    top entry without an iterator is rebuilt from the checkpoint below it
+    (_rebuild); the transitions redrawn there are not counted in
+    `transitions`. Every transition is drawn through this module's
+    iter_transitions with next() alone, so a tracer may rebind that name
+    to any iterator."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
     sym = strategy == "dfs-sym"
     every = CHECKPOINT_EVERY
     t0 = time.monotonic()
     deadline = t0 + time_budget_s if time_budget_s else None
-    visited = {initial.fingerprint(sym)}
+    psum = position_sum(initial, sym)
+    visited = {initial.fingerprint(sym, psum)}
     n_trans = 0
-    path: list = []
 
-    def result(verdict, hit=None, path=(), reason=""):
+    def result(verdict, hit=None, steps=(), reason=""):
         elapsed = time.monotonic() - t0
-        witness = make_witness(path, hit) if hit is not None else None
+        witness = make_witness(steps, hit) if hit is not None else None
         return VerificationResult(verdict, len(visited), n_trans, elapsed,
                                   strategy, witness, reason)
 
     def spent(budget):
-        clock = path[-1].clock_ms if path else initial.clock
+        step = stack[-1][5]
+        clock = initial.clock if step is None else step.clock_ms
         return result("unknown", reason=f"{budget} budget exhausted at depth "
-                                        f"{len(path)}, clock_ms {clock}")
+                                        f"{len(stack) - 1}, clock_ms {clock}")
 
     if found(initial, initial.is_terminal()):
         return result(verdicts[0], initial)
 
-    stack = [[None, iter_transitions(initial), initial, 0]]
+    stack = [[None, iter_transitions(initial), initial, 0, psum, None]]
     check_every = 2048
     while stack:
         entry = stack[-1]
@@ -335,8 +341,6 @@ def _search(initial: GlobalState, strategy: str, state_budget: int,
             t = next(successors, None)
             if t is None:
                 stack.pop()
-                if path:
-                    path.pop()
                 continue
             entry[3] += 1
         else:
@@ -347,50 +351,50 @@ def _search(initial: GlobalState, strategy: str, state_budget: int,
                 time.monotonic() > deadline:
             return spent("time")
         succ = t.state
-        fp = succ.fingerprint(sym)
+        psum = sum_after(t, entry[4], sym)
+        fp = succ.fingerprint(sym, psum)
         if fp in visited:
             continue
-        visited.add(fp)
-        if len(visited) > state_budget:
+        if len(visited) >= state_budget:
             return spent("state")
+        visited.add(fp)
         succ_it = iter_transitions(succ)
         first = next(succ_it, None)
         terminal = first is None
-        path.append(StepRecord(t.event.name, t.event.payload, t.changed,
-                               succ.clock))
+        step = StepRecord(t.event.name, t.event.payload, t.changed,
+                          succ.clock)
         depth = len(stack)
         if depth >= every and (depth - every) % every:
-            stack[depth - every][1] = None
+            dropped = stack[depth - every]
+            dropped[1] = dropped[4] = None
         if found(succ, terminal):
-            return result(verdicts[0], succ, path)
+            return result(verdicts[0], succ,
+                          [e[5] for e in stack[1:]] + [step])
         if terminal:
-            path.pop()
             continue
-        stack.append([first, succ_it, None if depth % every else succ, 1])
+        stack.append([first, succ_it, None if depth % every else succ, 1,
+                      psum, step])
     return result(verdicts[1])
 
 
 def _rebuild(stack: list, every: int, sym: bool):
-    """Give the top entry of a _search stack its iterator back, and every
-    entry between it and the nearest checkpoint below that lost theirs.
-    From the checkpoint's state, each level draws as many transitions from
-    a new iterator as its entry drew; the last one drawn leads to the next
-    level. Moves are pure, so each state and each iterator's position are
-    the dropped ones. Each level's state is fingerprinted, as the search
-    did when it met it, before its successors are drawn: a state takes its
-    fingerprint terms from its parent's (model.GlobalState._term). Returns
-    the top entry's iterator."""
+    """Give the top entry of a _search stack its iterator and position sum
+    back, and every entry between it and the nearest checkpoint below that
+    lost theirs. From the checkpoint's state and sum, each level draws as
+    many transitions from a new iterator as its entry drew; the last one
+    drawn leads to the next level, whose sum it chains (model.sum_after).
+    Moves are pure, so each state, each iterator's position and each sum
+    are the dropped ones. Returns the top entry's iterator."""
     top = len(stack) - 1
     base = top - top % every
-    state = stack[base][2]  # fingerprinted when the search met it
+    state, psum = stack[base][2], stack[base][4]
     for entry in stack[base:]:
         successors = iter_transitions(state)
         for _ in range(entry[3]):
             t = next(successors)
-        state = t.state
-        state.fingerprint(sym)
         if entry[1] is None:  # the checkpoint keeps its own
-            entry[1] = successors
+            entry[1], entry[4] = successors, psum
+        state, psum = t.state, sum_after(t, psum, sym)
     return stack[top][1]
 
 

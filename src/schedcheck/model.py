@@ -19,15 +19,16 @@ drawing the same number again (checker._rebuild).
 
 A state's fingerprint is a Zobrist-style sum (Zobrist 1970; the idea behind
 SPIN and TLC fingerprints): every task and job position has a fixed random
-key, a record's digest is the built-in hash() of an int tuple, and a state
-adds key times digest change for the records its transition wrote to its
-parent's sum. A transition only lists those writes; the state digests them
-when it is first fingerprinted, in the one view asked for, so a walk that
-never fingerprints (replay, run_to_quiescence) hashes no record. The scalar
-and node parts are digested per fingerprint; the node part holds only what
-the task records leave open (the on flags, and under symmetry one class
-code per anonymous node), since on a reachable state the records fix which
-task holds which slot. See GlobalState.fingerprint for the collision
+key, a record's digest is the built-in hash() of an int tuple, and the
+position part of the fingerprint is the sum of key times digest change from
+the default record. A transition lists the records it wrote (Transition.
+writes), so a caller that holds the source's position sum takes the
+successor's from those alone (sum_after); a state keeps no sum itself, and
+a walk that never fingerprints (replay, run_to_quiescence) hashes no record.
+The scalar and node parts are digested per fingerprint; the node part holds
+only what the task records leave open (the on flags, and under symmetry one
+class code per anonymous node), since on a reachable state the records fix
+which task holds which slot. See GlobalState.fingerprint for the collision
 bound.
 
 A completion scans the running tasks for stragglers only once the clock
@@ -182,42 +183,43 @@ class Counters(NamedTuple):
 
 
 # Fingerprint keys are drawn from random.Random(_KEY_SEED), 16 bytes a key;
-# any constant will do.
+# any constant will do. Keys 0 and 1 are those of the scalar and node parts,
+# key k + 2 that of position k, kept at _POSITION_KEYS[k].
 _KEY_SEED = 0x5C4ED_C4EC
-_key_bytes = b""
+_POSITION_KEYS: list = []
 
 
-def _draw_keys(n: int) -> bytes:
-    """The bytes of keys 0 .. n - 1 at least. A longer draw starts with the
-    same bytes, so the longest draw yet serves every model, and key k is
-    the same whatever was drawn before. (Seeding a generator for each model
-    instead made the set-up of ten small models 13 % slower.)"""
-    global _key_bytes
-    if len(_key_bytes) < 16 * n:
-        _key_bytes = random.Random(_KEY_SEED).randbytes(16 * n)
-    return _key_bytes
+def _draw_keys(first: int, stop: int) -> list:
+    """Keys first .. stop - 1: key k is 2r + 1 for the 128 random bits r
+    at bytes 16k .. 16k + 15 of the draw, odd and so never zero. A longer
+    draw starts with the same bytes, so key k is the same whatever was
+    drawn before."""
+    raw = random.Random(_KEY_SEED).randbytes(16 * stop)
+    return [int.from_bytes(raw[16 * k:16 * k + 16], "little") << 1 | 1
+            for k in range(first, stop)]
 
 
-def _key_at(key_bytes: bytes, k: int) -> int:
-    """Key k: 2r + 1 for the 128 random bits r at k, odd and so never
-    zero."""
-    return int.from_bytes(key_bytes[16 * k:16 * k + 16], "little") << 1 | 1
+_SCALAR_KEY, _NODES_KEY = _draw_keys(0, 2)
 
 
-# keys 0 and 1, of the scalar and node parts; key k + 2 is position k's
-_SCALAR_KEY = _key_at(_draw_keys(2), 0)
-_NODES_KEY = _key_at(_draw_keys(2), 1)
+def _keys(n: int) -> list:
+    """The keys of positions 0 .. n - 1 at least: one table per process,
+    which only grows, so every model shares the keys of the largest yet
+    and a set-up makes none again."""
+    have = len(_POSITION_KEYS)
+    if have < n:
+        _POSITION_KEYS.extend(_draw_keys(have + 2, n + 2))
+    return _POSITION_KEYS
 
 
 class Statics:
     """Per-run data shared by every state of one exploration, the config
-    among it; immutable but for `keys`, which fills with fixed values on
-    first use."""
+    among it; immutable but for `keys`, the process's key table, which may
+    grow past this run's positions."""
     __slots__ = ("config", "tids", "idx_of", "rank", "kind", "submit",
                  "duration", "deadline", "preferred", "job_of", "job_tasks",
                  "total_maps", "gate", "workload", "named_nodes", "job_ids",
-                 "job_idx_of", "pool", "pool_tasks", "class_weight",
-                 "key_bytes", "keys")
+                 "job_idx_of", "pool", "pool_tasks", "class_weight", "keys")
 
     def __init__(self, config: ClusterConfig, trace: WorkloadTrace):
         self.config = config
@@ -255,9 +257,9 @@ class Statics:
         # The pool (fair pool, capacity queue, or fifo's one pool) of each
         # task position, and the positions of each pool's tasks in queue
         # order, ending in the sentinel n; built job by job.
-        job_pool = policies.pool_table(config, self.job_ids)
+        job_pool, n_pools = policies.pool_table(config, self.job_ids)
         self.pool = tuple([job_pool[j] for j in self.job_of])
-        tasks = [[] for _ in range(policies.pool_count(config))]
+        tasks = [[] for _ in range(n_pools)]
         for q, ps in zip(job_pool, self.job_tasks):
             tasks[q].extend(ps)
         self.pool_tasks = tuple([tuple(sorted(ps)) + (self.workload,)
@@ -270,18 +272,9 @@ class Statics:
         # k slots a node, so the codes of different class counts differ
         base = config.slots_per_node + 1
         self.class_weight = (0, 2, 2 * base, 2 * base ** 2, 2 * base ** 3)
-        # Fingerprint keys (see GlobalState.fingerprint) of the task
-        # positions, then the job positions, from key 2 on. A key is made
-        # from its bytes on first use, so set-up pays for the bytes alone.
-        n = self.workload + len(self.job_ids)
-        self.key_bytes = _draw_keys(n + 2)
-        self.keys = [None] * n
-
-    def key(self, k: int) -> int:
-        """Makes and keeps the fingerprint key of position k. Read a key as
-        `keys[k] or key(k)`."""
-        key = self.keys[k] = _key_at(self.key_bytes, k + 2)
-        return key
+        # fingerprint keys (see GlobalState.fingerprint) of the task
+        # positions, then the job positions
+        self.keys = _keys(self.workload + len(self.job_ids))
 
 
 class Event(NamedTuple):
@@ -293,28 +286,26 @@ class Transition(NamedTuple):
     event: Event
     state: "GlobalState"
     changed: tuple  # ((task_id, old_phase, new_phase), ...)
+    writes: list    # [(position, old record, new record), ...]; see _Builder
 
 
 class GlobalState:
     __slots__ = ("statics", "tasks", "jobs", "nodes", "pool_running",
                  "pool_cursor", "pool_held", "pool_gone", "extra", "clock",
                  "counters", "namenode_on", "jobtracker_on", "running",
-                 "sched_pending", "spec_due", "_writes", "_from_sym",
-                 "_from_plain", "_th_sym", "_th_plain")
+                 "sched_pending", "spec_due")
 
     def __init__(self, statics: Statics, nodes: tuple, tasks: tuple,
                  jobs: tuple, pool_running: tuple, pool_cursor: tuple,
                  pool_held: tuple, pool_gone: tuple, extra=(), clock=0,
                  counters=Counters(), namenode_on=False, jobtracker_on=False,
-                 running=(), sched_pending=(), spec_due=-math.inf, writes=(),
-                 th_sym=None, th_plain=None):
+                 running=(), sched_pending=(), spec_due=-math.inf):
         """The one constructor of a state; the defaults, with all-default
         task and job tables and the full queue, are the cold cluster that
         build_cluster starts from, except that build_cluster knows its
-        straggler bound (inf) and fingerprint terms (0), where the defaults
-        make a state built by hand scan in full and sum its terms. `statics`
-        is the one pointer to the run; every other field is one that a
-        transition writes.
+        straggler bound (inf), where the default makes a state built by
+        hand scan in full. `statics` is the one pointer to the run; every
+        other field is one that a transition writes.
 
         The pool_ fields keep per pool (fifo has one) what the policies
         would otherwise rebuild on every decision: its occupied slots,
@@ -340,13 +331,9 @@ class GlobalState:
         history, not identity, and neither canonical_key nor fingerprint
         reads it either. With max_speculative 0 nothing keeps it.
 
-        writes lists the (position, old record, new record) writes that
-        made this state from its parent (task position i as i, job
-        position j as n + j), and th_sym and th_plain are the parent's
-        position terms of the fingerprint (see fingerprint), None where the
-        parent never took them; the state takes its own on first read
-        (_term). A state keeps no reference to its parent, so a walk that
-        never fingerprints frees each state once the next is built."""
+        A state keeps no reference to its parent, and no fingerprint: the
+        caller that walks the states keeps any sum it chains (see
+        fingerprint), so a walk frees each state once the next is built."""
         self.statics = statics
         self.tasks = tasks
         self.jobs = jobs
@@ -363,10 +350,6 @@ class GlobalState:
         self.running = running
         self.sched_pending = sched_pending
         self.spec_due = spec_due
-        self._writes = writes
-        self._from_sym = th_sym
-        self._from_plain = th_plain
-        self._th_sym = self._th_plain = None
 
     @property
     def config(self) -> ClusterConfig:
@@ -548,20 +531,18 @@ class GlobalState:
 
     # -- fingerprints --------------------------------------------------------
 
-    def fingerprint(self, sym: bool) -> int:
+    def fingerprint(self, sym: bool, psum: int | None = None) -> int:
         """The state's identity under canonical_key(self, sym), as one int:
         the exact sum of K_i (d_i - d0_i) over the task and job positions i,
-        plus S s + N m. K_i is position i's fixed random key (Statics.key),
+        plus S s + N m. K_i is position i's fixed random key (Statics.keys),
         d_i the hash() of its record's view (the record itself, or _sym_rt's
         view of a task under sym) and d0_i that of the default record. s and
         m are the hash() of _scalar_key and of _node_view, S and N their
-        keys (_SCALAR_KEY, _NODES_KEY). The position terms, one sum per
-        view with the job terms in both, are taken on the first call in
-        that view from the parent's and the writes that made the state
-        (_term), and kept; s and m are taken on every call. The search
-        fingerprints a state before it draws the state's successors, so
-        each of them starts from its parent's sum; a state whose parent
-        was never fingerprinted in the view sums every position once.
+        keys (_SCALAR_KEY, _NODES_KEY). The position sum, the first part,
+        is `psum` when given: a caller that holds the sum of the state's
+        parent in the same view chains it through the transition's writes
+        (sum_after), as the search does. Without it the sum is taken from
+        scratch (position_sum), in O(n).
 
         The node part digests only the node facts that the task views leave
         open. On every reachable state the occupied slots are exactly the
@@ -584,63 +565,52 @@ class GlobalState:
         64-bit hash() collision between two views at the same position. No
         view holds a str, whose hash is salted per process, or a field that
         can be both -1 and -2, which hash alike."""
-        return (self._term(sym) + _SCALAR_KEY * hash(_scalar_key(self))
+        if psum is None:
+            psum = position_sum(self, sym)
+        return (psum + _SCALAR_KEY * hash(_scalar_key(self))
                 + _NODES_KEY * hash(_node_view(self, sym)))
-
-    def _term(self, sym: bool) -> int:
-        """The position terms of the fingerprint in one view, taken on
-        first read and kept: the parent's terms plus K_k (d(new) - d(old))
-        for each write (k, old, new) that made the state, or, if the parent
-        never took its terms in this view, the full sum (_full_term)."""
-        th = self._th_sym if sym else self._th_plain
-        if th is not None:
-            return th
-        th = self._from_sym if sym else self._from_plain
-        if th is None:
-            th = _full_term(self, sym)
-        else:
-            st = self.statics
-            keys = st.keys
-            if sym:
-                n, named = st.workload, st.named_nodes
-                for k, old, new in self._writes:
-                    if k < n:  # a task's view; a job's is its record
-                        new, old = _sym_rt(new, named), _sym_rt(old, named)
-                    th += (keys[k] or st.key(k)) * (hash(new) - hash(old))
-            else:
-                for k, old, new in self._writes:
-                    th += (keys[k] or st.key(k)) * (hash(new) - hash(old))
-        if sym:
-            self._th_sym = th
-        else:
-            self._th_plain = th
-        return th
 
     def is_terminal(self) -> bool:
         return not enabled_moves(self)
 
 
-def _full_term(state: GlobalState, sym: bool) -> int:
-    """The position terms of the fingerprint in one view from scratch, in
+def position_sum(state: GlobalState, sym: bool) -> int:
+    """The position part of the fingerprint in one view from scratch, in
     O(n): the sum over every task and job position of its key times its
-    digest change from the default record (see GlobalState.fingerprint)."""
+    digest change from the default record (see GlobalState.fingerprint).
+    A position that holds the default record itself adds nothing and is
+    not hashed, so a cold cluster's sum costs no hashing."""
     st = state.statics
-    n = st.workload
-    tasks = table_records(state.tasks, n)
+    n, keys = st.workload, st.keys
+    named = st.named_nodes
+    d0 = hash(_sym_rt(DEFAULT_RT, named) if sym else DEFAULT_RT)
+    psum = 0
+    for k, rt in enumerate(table_records(state.tasks, n)):
+        if rt is not DEFAULT_RT:
+            psum += keys[k] * (hash(_sym_rt(rt, named) if sym else rt) - d0)
+    d0 = hash(DEFAULT_JOB)
+    for k, job in enumerate(table_records(state.jobs, len(st.job_ids)), n):
+        if job is not DEFAULT_JOB:
+            psum += keys[k] * (hash(job) - d0)
+    return psum
+
+
+def sum_after(t: Transition, psum: int, sym: bool) -> int:
+    """The position sum of t.state in one view, from psum, that of the
+    state t was drawn from: psum plus K_k (d(new) - d(old)) for each write
+    (k, old, new) of t."""
+    st = t.state.statics
+    keys = st.keys
     if sym:
-        named = st.named_nodes
-        tasks = [_sym_rt(rt, named) for rt in tasks]
-        d0 = hash(_sym_rt(DEFAULT_RT, named))
+        n, named = st.workload, st.named_nodes
+        for k, old, new in t.writes:
+            if k < n:  # a task's view; a job's is its record
+                new, old = _sym_rt(new, named), _sym_rt(old, named)
+            psum += keys[k] * (hash(new) - hash(old))
     else:
-        d0 = hash(DEFAULT_RT)
-    d0_job = hash(DEFAULT_JOB)
-    th = 0
-    for k, d in enumerate([hash(view) - d0 for view in tasks] + [
-            hash(job) - d0_job
-            for job in table_records(state.jobs, len(st.job_ids))]):
-        if d:  # a default record adds nothing; its key is not made
-            th += (st.keys[k] or st.key(k)) * d
-    return th
+        for k, old, new in t.writes:
+            psum += keys[k] * (hash(new) - hash(old))
+    return psum
 
 
 def canonical_key(state: GlobalState, sym: bool) -> tuple:
@@ -754,13 +724,12 @@ class _Builder:
 
     It hashes nothing: each task or job record it writes goes into
     `writes` as (position, old, new), task position i as i, job position j
-    as n + j, and the new state takes them with the source state's
-    fingerprint terms, from which it takes its own only if it is
-    fingerprinted (GlobalState._term). A walk that never fingerprints,
-    such as replay or run_to_quiescence, so pays for no digest. The
-    counters are a list (indexed by _TRACKERS .. _FREE) until the state is
-    built, and so are the pools' running slots once a slot is written
-    (`used`).
+    as n + j, and the Transition carries them, so that a caller that
+    fingerprints takes the new state's position sum from its source's
+    (sum_after). A walk that never fingerprints, such as replay or
+    run_to_quiescence, so pays for no digest. The counters are a list
+    (indexed by _TRACKERS .. _FREE) until the state is built, and so are
+    the pools' running slots once a slot is written (`used`).
 
     Transitions write records by position, tuple.__new__ over the record's
     fields in order, not by NamedTuple._replace, which costs about four
@@ -824,6 +793,13 @@ class _Builder:
             used[pool[old % n]] -= 1
         if occupant is not None:
             used[pool[occupant % n]] += 1
+
+    def transition(self, name: str) -> Transition:
+        """The transition named `name` to the state built from the changes
+        (finish), with the phase changes and writes that made it."""
+        state = self.finish()
+        return Transition(Event(name), state, tuple(self.changed),
+                          self.writes)
 
     def finish(self) -> GlobalState:
         # only an entry that left the queue can move the queue fields
@@ -896,7 +872,7 @@ class _Builder:
             self.held, self.gone, self.extra, self.clock,
             tuple.__new__(Counters, self.counters), self.namenode_on,
             self.jobtracker_on, self.running, self.sched_pending,
-            self.spec_due, self.writes, src._th_sym, src._th_plain)
+            self.spec_due)
 
 
 def _next_map(order: tuple, c: int, tasks: tuple, kind: tuple):
@@ -928,8 +904,7 @@ def build_cluster(config: ClusterConfig, workload: WorkloadTrace) -> GlobalState
     k = len(cursor)
     return GlobalState(st, nodes, tasks,
                        new_table(len(st.job_ids), DEFAULT_JOB), (0,) * k,
-                       cursor, held, ((),) * k, spec_due=math.inf, th_sym=0,
-                       th_plain=0)
+                       cursor, held, ((),) * k, spec_due=math.inf)
 
 
 # --------------------------------------------------------------------------
@@ -975,13 +950,13 @@ def enabled_moves(state: GlobalState) -> list:
 def _activate_nn(state: GlobalState, _arg) -> Transition:
     b = _Builder(state)
     b.namenode_on = True
-    return Transition(Event("activate_nn"), b.finish(), ())
+    return b.transition("activate_nn")
 
 
 def _activate_jt(state: GlobalState, _arg) -> Transition:
     b = _Builder(state)
     b.jobtracker_on = True
-    return Transition(Event("activate_jt"), b.finish(), ())
+    return b.transition("activate_jt")
 
 
 def _activate_tt(state: GlobalState, i: int) -> Transition:
@@ -991,7 +966,7 @@ def _activate_tt(state: GlobalState, i: int) -> Transition:
     c = b.counters
     c[_TRACKERS] += 1
     c[_FREE] += len(slots)
-    return Transition(Event(f"activate_tt.{i}"), b.finish(), ())
+    return b.transition(f"activate_tt.{i}")
 
 
 def _assign(state: GlobalState, arg) -> Transition:
@@ -1012,8 +987,7 @@ def _assign(state: GlobalState, arg) -> Transition:
     c = b.counters
     c[_SCHEDULED] += 1
     c[_FREE] -= 1
-    return Transition(Event(f"assign.{st.tids[qpos]}.{i}"), b.finish(),
-                      tuple(b.changed))
+    return b.transition(f"assign.{st.tids[qpos]}.{i}")
 
 
 def _assign_spec(state: GlobalState, arg) -> Transition:
@@ -1033,8 +1007,7 @@ def _assign_spec(state: GlobalState, arg) -> Transition:
         copies + ((i, k, state.clock),), dl)))
     b.set_slot(i, k, st.workload + p)
     b.counters[_FREE] -= 1
-    return Transition(Event(f"assign_spec.{st.tids[p]}.{i}"), b.finish(),
-                      tuple(b.changed))
+    return b.transition(f"assign_spec.{st.tids[p]}.{i}")
 
 
 def _execute(state: GlobalState, p: int) -> Transition:
@@ -1075,8 +1048,7 @@ def _execute(state: GlobalState, p: int) -> Transition:
             due = start + cfg.speculation_factor * (job[k + 1] / job[k])
             if due < b.spec_due:
                 b.spec_due = due
-    return Transition(Event(f"execute.{st.tids[p]}"), b.finish(),
-                      tuple(b.changed))
+    return b.transition(f"execute.{st.tids[p]}")
 
 
 def _free_task_slots(b: _Builder, rt: TaskRT):
@@ -1217,7 +1189,7 @@ def _complete(state: GlobalState, _arg) -> Transition:
         b.set_task(ti, tuple.__new__(TaskRT, (
             FAILED, start, end, node, slot, local, cause, spec, (), dl)))
         c[_FAILED] += 1
-        event = Event(f"fail.{st.tids[ti]}")
+        event = f"fail.{st.tids[ti]}"
         if st.kind[ti] == CODE_MAP:
             job = table_get(b.jobs, ji)
             if not job.failed:
@@ -1247,9 +1219,9 @@ def _complete(state: GlobalState, _arg) -> Transition:
         # it, and with nothing running there is no sibling to lower it for
         if cfg.max_speculative and b.running and b.clock < b.spec_due:
             _lower_spec_due(b, ji, st.kind[ti])
-        event = Event(f"complete.{st.tids[ti]}")
+        event = f"complete.{st.tids[ti]}"
     _speculation_scan(b)
-    return Transition(event, b.finish(), tuple(b.changed))
+    return b.transition(event)
 
 
 class _Transitions:

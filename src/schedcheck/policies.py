@@ -42,23 +42,23 @@ def job_number(job_id: str) -> int:
     return crc32(str(job_id).encode())
 
 
-def pool_count(config) -> int:
-    """The fair pools or capacity queues under config.scheduler; fifo has
-    one pool."""
-    if config.scheduler == "fair":
-        return config.fair_pools
-    if config.scheduler == "capacity":
-        return len(config.capacity_queues)
-    return 1
-
-
-def pool_table(config, job_ids) -> list:
+def pool_table(config, job_ids) -> tuple:
     """The pool (fair pool, capacity queue, or fifo's one pool) of each job
-    under config.scheduler, in the order of job_ids."""
-    n = pool_count(config)
-    if n == 1:
-        return [0] * len(job_ids)
-    return [job_number(j) % n for j in job_ids]
+    under config.scheduler, in the order of job_ids, and the number of
+    pools. Fair numbers only the pools that hold a job, densely and in
+    pool-number order: an empty pool never has a head or a running slot,
+    and fair breaks ties on (running slots, queue index), never on the
+    pool, so leaving it out changes no pick, and a state's per-pool fields
+    grow with the jobs, not with fair_pools. Capacity keeps every listed
+    queue, since it reads them in priority order."""
+    if config.scheduler == "fair":
+        pools = [job_number(j) % config.fair_pools for j in job_ids]
+        dense = {q: i for i, q in enumerate(sorted(set(pools)))}
+        return [dense[q] for q in pools], len(dense)
+    if config.scheduler == "capacity":
+        n = len(config.capacity_queues)
+        return [job_number(j) % n for j in job_ids], n
+    return [0] * len(job_ids), 1
 
 
 def select(state) -> int | None:

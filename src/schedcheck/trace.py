@@ -102,6 +102,8 @@ def _parse_row(line_no, row) -> TaskRecord:
         preferred_node = int(preferred) if preferred else None
     except ValueError:
         raise MalformedRow(line_no, "deadline_ms and preferred_node must be integers")
+    if preferred_node is not None and preferred_node < 0:
+        raise MalformedRow(line_no, "preferred_node must be >= 0")
     outcome = outcome.upper()
     if outcome not in ("SUCCESS", "FAIL"):
         raise MalformedRow(line_no, f"outcome must be SUCCESS or FAIL, got {outcome!r}")

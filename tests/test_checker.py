@@ -229,6 +229,19 @@ class TestVerify:
         assert result.verdict == "unknown"
         assert "state budget" in result.reason
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_unknown_counts_exactly_the_state_budget(self, strategy):
+        """A budget of b states visits b states at most: a search that
+        stops on it reports b, and one whose space has b states ends."""
+        init = build("speculative_copy")
+        never = GoalExpr("never", (Atom("workload", "<", 0.0),))
+        space = verify(init, never, strategy).states
+        for budget in (1, 2, 7, 150, space - 1):
+            result = verify(init, never, strategy, state_budget=budget)
+            assert (result.verdict, result.states) == ("unknown", budget)
+        assert verify(init, never, strategy,
+                      state_budget=space).verdict == "unreachable"
+
     def test_budget_reason_says_how_far_the_run_got(self):
         """A spent state budget names the depth and clock of the state
         being expanded. The model is acyclic, so a first-successor chain
@@ -504,35 +517,53 @@ class TestCheckpoints:
         assert not diffs, (diffs[0], runs[diffs[0]], default[diffs[0]])
 
     @pytest.mark.parametrize("every", [None, 2])
-    def test_searches_take_no_full_fingerprint_sum(self, monkeypatch, every):
-        """The search fingerprints a state before it draws the state's
-        successors, and _rebuild fingerprints each level it redraws, so
-        every state that a search fingerprints takes its terms from its
-        parent's: none of the runs takes the O(n) sum (model._full_term),
+    def test_searches_sum_only_the_initial_state_from_scratch(
+            self, monkeypatch, every):
+        """A search takes the O(n) sum (model.position_sum) once, for its
+        initial state, and chains every other state's from its parent's
+        entry, _rebuild included: at every state a search fingerprints,
         at the default spacing or at 2, which rebuilds on almost every
-        backtrack. A state whose parent was never fingerprinted does."""
-        full, rebuilds = [], [0]
-        real_full, real_rebuild = model_mod._full_term, checker_mod._rebuild
+        backtrack, the sum it passes equals the sum from scratch. A state
+        fingerprinted without a sum takes it from scratch."""
+        real_sum, real_fp = model_mod.position_sum, GlobalState.fingerprint
+        real_search, real_rebuild = checker_mod._search, checker_mod._rebuild
+        summed, searched, chained, rebuilds = [], [], [0], [0]
 
-        def counting_full(state, sym):
-            full.append(sym)
-            return real_full(state, sym)
+        def counting_sum(state, sym):
+            summed.append(state)
+            return real_sum(state, sym)
+
+        def checked_fp(state, sym, psum=None):
+            if psum is not None:
+                chained[0] += 1
+                assert psum == real_sum(state, sym)
+            return real_fp(state, sym, psum)
+
+        def counting_search(initial, *args):
+            searched.append(initial)
+            return real_search(initial, *args)
 
         def counting_rebuild(*args):
             rebuilds[0] += 1
             return real_rebuild(*args)
 
-        monkeypatch.setattr(model_mod, "_full_term", counting_full)
+        for module in (model_mod, checker_mod):
+            monkeypatch.setattr(module, "position_sum", counting_sum)
+        monkeypatch.setattr(GlobalState, "fingerprint", checked_fp)
+        monkeypatch.setattr(checker_mod, "_search", counting_search)
         monkeypatch.setattr(checker_mod, "_rebuild", counting_rebuild)
         if every is not None:
             monkeypatch.setattr(checker_mod, "CHECKPOINT_EVERY", every)
         assert len(self._runs()) > 200
-        assert full == []
+        assert len(searched) > 200
+        assert summed == searched
+        assert chained[0] > 10 * len(searched)
         assert (rebuilds[0] > 0) == (every is not None)
+        del summed[:]
         init = build("map_reduce_gate")
         child = next(iter_transitions(init)).state
         next(iter_transitions(child)).state.fingerprint(True)
-        assert full == [True]
+        assert len(summed) == 1
 
 
 class _Probe:

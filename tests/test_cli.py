@@ -83,14 +83,20 @@ class TestVerify:
         assert code == 1
 
     def test_budget_exhaustion_exits_two(self, tmp_path):
+        """A spent budget of N states reports N states visited."""
         config, trace = write_fixture(tmp_path, "three_anon_two_jobs")
-        code = main(["verify", "--config", config, "--trace", trace,
-                     "--state-budget", "100",
-                     "--properties", props(
-                         tmp_path,
-                         "#define bad failurerate > 99;\n"
-                         "#assert cluster reaches bad;\n")])
-        assert code == 2
+        out = tmp_path / "report.json"
+        for strategy in ("dfs", "dfs-sym"):
+            code = main(["verify", "--config", config, "--trace", trace,
+                         "--state-budget", "100", "--strategy", strategy,
+                         "--out", str(out),
+                         "--properties", props(
+                             tmp_path,
+                             "#define bad failurerate > 99;\n"
+                             "#assert cluster reaches bad;\n")])
+            assert code == 2
+            [result] = json.loads(out.read_text())["properties"]
+            assert (result["verdict"], result["states"]) == ("unknown", 100)
 
     def test_usage_and_parse_errors_exit_three(self, tmp_path):
         config, trace = write_fixture(tmp_path, "map_reduce_gate")

@@ -23,8 +23,9 @@ from schedcheck.model import (_NODES_KEY, _SCALAR_KEY, CAUSE_CASCADE,
                               SUBMITTED, WAITING_RESOURCES, GlobalState,
                               StepRecord, TaskRT, _Builder, _complete,
                               _node_view, _scalar_key, _sym_rt, build_cluster,
-                              canonical_key, iter_transitions, replay,
-                              table_records, terminal_summary, wait_for_graph)
+                              canonical_key, iter_transitions, position_sum,
+                              replay, sum_after, table_records,
+                              terminal_summary, wait_for_graph)
 
 
 def first_run(state, limit=100_000):
@@ -587,12 +588,12 @@ class TestFingerprints:
 
     @staticmethod
     def _terms_from_scratch(s) -> tuple:
-        """The plain and the symmetric position terms of state s: the sum
+        """The plain and the symmetric position sums of state s: the sum
         over every task and job position of its key times (hash of its view
         - hash of the default view)."""
         st = s.statics
         n, n_jobs, named = st.workload, len(st.job_ids), st.named_nodes
-        keys = [st.keys[k] or st.key(k) for k in range(n + n_jobs)]
+        keys = st.keys[:n + n_jobs]
         tasks = table_records(s.tasks, n)
         d0_plain, d0_sym = hash(DEFAULT_RT), hash(_sym_rt(DEFAULT_RT, named))
         plain = sum(key * (hash(rt) - d0_plain)
@@ -604,52 +605,61 @@ class TestFingerprints:
         return plain + jobs, sym + jobs
 
     def test_position_terms_equal_a_sum_from_scratch(self):
-        """Along random walks, the task and job terms that each state takes
-        from its parent's and the writes that made it equal the sum from
-        scratch, and the fingerprint is that sum plus the scalar and node
-        terms."""
+        """Along random walks, in both views, the sum that sum_after chains
+        from a state's over each transition's writes equals position_sum of
+        the successor and the sum from scratch, and the fingerprint is that
+        sum plus the scalar and node terms, whether the sum is given or
+        not."""
         rng = random.Random(14)
         for _ in range(60):
             init = build_cluster(*random_workload(rng))
             for _walk in range(3):
                 state = init
                 while state is not None:
-                    succs = [t.state for t in iter_transitions(state)]
-                    for s in [state] + succs:
-                        want = self._terms_from_scratch(s)
-                        assert (s._term(False), s._term(True)) == want
-                        scalar = _SCALAR_KEY * hash(_scalar_key(s))
-                        for flag in (False, True):
-                            assert s.fingerprint(flag) == want[flag] + \
-                                scalar + _NODES_KEY * hash(_node_view(s, flag))
-                    state = rng.choice(succs) if succs else None
+                    ts = list(iter_transitions(state))
+                    for flag in (False, True):
+                        psum = position_sum(state, flag)
+                        assert psum == self._terms_from_scratch(state)[flag]
+                        for t in ts:
+                            chained = sum_after(t, psum, flag)
+                            assert chained == position_sum(t.state, flag)
+                            assert chained == \
+                                self._terms_from_scratch(t.state)[flag]
+                        fp = psum + _SCALAR_KEY * hash(_scalar_key(state)) \
+                            + _NODES_KEY * hash(_node_view(state, flag))
+                        assert state.fingerprint(flag) == fp
+                        assert state.fingerprint(flag, psum) == fp
+                    state = rng.choice(ts).state if ts else None
 
     def test_terms_after_parents_never_fingerprinted(self):
-        """A state whose parent never took its terms in a view takes the
-        full sum in that view (model._full_term), and its children take
-        theirs from it: on random walks fingerprinted every few steps, in
-        one view at a time, every term equals the sum from scratch."""
+        """A sum chained over a whole walk, never taken from scratch on the
+        way, and a fingerprint taken without a sum, of a state whose parent
+        was never fingerprinted, agree with the sum from scratch: on random
+        walks checked every few steps, in one view at a time,
+        fingerprint(flag) equals fingerprint(flag, chained sum)."""
         rng = random.Random(15)
         for _ in range(60):
             state = build_cluster(*random_workload(rng))
+            sums = [position_sum(state, False), position_sum(state, True)]
             for step in itertools.count(1):
-                succs = [t.state for t in iter_transitions(state)]
-                if not succs:
+                ts = list(iter_transitions(state))
+                if not ts:
                     break
-                state = rng.choice(succs)
+                t = rng.choice(ts)
+                sums = [sum_after(t, sums[flag], flag) for flag in (0, 1)]
+                state = t.state
                 if step % 3 == 0:
                     flag = rng.random() < 0.5
-                    assert state._term(flag) == \
-                        self._terms_from_scratch(state)[flag]
-            for flag in (False, True):
-                assert state._term(flag) == \
-                    self._terms_from_scratch(state)[flag]
+                    assert state.fingerprint(flag) == \
+                        state.fingerprint(flag, sums[flag])
+            assert tuple(sums) == self._terms_from_scratch(state)
 
     @pytest.mark.parametrize("name", sorted(FIXTURES))
     def test_terms_of_replayed_states(self, name):
         """run_to_quiescence and replay fingerprint no state on the way:
         the states they end in, the same state reached twice, and their
-        successors take terms equal to the sum from scratch."""
+        successors have sums equal to the sum from scratch, chained or not,
+        and the two ends the same fingerprints."""
         from schedcheck.analysis import run_to_quiescence
         init = build(name)
         steps = []
@@ -658,12 +668,35 @@ class TestFingerprints:
                        t.state.clock)))
         mid = replay(init, steps[:len(steps) // 2])
         ends = [end, replay(init, steps), mid]
-        ends += [t.state for t in iter_transitions(mid)]
         for s in ends:
-            assert (s._term(False), s._term(True)) == \
+            assert (position_sum(s, False), position_sum(s, True)) == \
                 self._terms_from_scratch(s)
+        for t in iter_transitions(mid):
+            assert tuple(sum_after(t, position_sum(mid, flag), flag)
+                         for flag in (False, True)) == \
+                self._terms_from_scratch(t.state)
         for flag in (False, True):
             assert ends[0].fingerprint(flag) == ends[1].fingerprint(flag)
+
+    def test_a_cold_cluster_sums_to_zero_and_hashes_no_record(
+            self, monkeypatch):
+        """Every position of a cold cluster holds the default record, so
+        its sum is 0 in both views, and position_sum digests only the
+        default records, never a position's."""
+        state = build_cluster(ClusterConfig(node_count=3), mk_trace(
+            [rec(f"t{i}", f"j{i % 40}", "map", i, 5, pref=i % 2)
+             for i in range(3_000)]))
+        digests = []
+
+        def counting(value):
+            digests.append(value)
+            return hash(value)
+
+        monkeypatch.setattr(model_mod, "hash", counting, raising=False)
+        for flag in (False, True):
+            del digests[:]
+            assert position_sum(state, flag) == 0
+            assert len(digests) == 2  # the default task and job records
 
     def test_fingerprints_do_not_depend_on_the_hash_seed(self):
         """str hashes are salted per process, and a larger model built first

@@ -113,6 +113,35 @@ class TestFair:
             ["a2", "b1", "b2"]
         assert select(state) == eligible[1][0]
 
+    def test_a_huge_pool_count_costs_nothing(self):
+        """Fair keeps only the pools that hold a job: fair_pools = 10**6
+        gives the searches of a count that splits the jobs the same way (16
+        puts each of j1 .. j13 alone), at no more than twice its time per
+        transition."""
+        from schedcheck.checker import GoalExpr, verify
+        trace = synthesize(GeneratorSpec(n_tasks=60, interarrival_ms=500,
+                                         profile="opencloud"), seed=7)
+        assert sorted(job_number(j) for j in trace.job_index) == \
+            list(range(1, 14))
+        half = GoalExpr("half", (("completedscheduled", ">=", 30.0),))
+        never = GoalExpr("never", (("workload", "<", 0.0),))
+        runs = {}
+        for pools in (16, 10**6):
+            initial = build_cluster(ClusterConfig(
+                node_count=4, slots_per_node=2, scheduler="fair",
+                fair_pools=pools), trace)
+            assert len(initial.pool_running) == 13
+            hit = verify(initial, half, "dfs-sym")
+            timed = [verify(initial, never, "dfs-sym", state_budget=3_000)
+                     for _ in range(3)]
+            runs[pools] = (
+                [(r.verdict, r.states, r.transitions, r.reason,
+                  r.witness and r.witness.steps) for r in (hit, timed[0])],
+                min(r.elapsed_s / r.transitions for r in timed))
+        assert runs[16][0][0][0] == "reachable"
+        assert runs[16][0] == runs[10**6][0]
+        assert runs[10**6][1] <= 2 * runs[16][1]
+
 
 class TestCapacity:
     def test_entitlements_tracked(self):

@@ -49,6 +49,7 @@ class TestParse:
         "m1,j1,map,0,100,,,MAYBE,",          # bad outcome
         "m1,j1,map,0,100",                   # short row
         "m1,j1,map,zero,100,,,SUCCESS,",     # non-integer
+        "m1,j1,map,0,100,,-1,SUCCESS,",      # negative preferred node
     ])
     def test_malformed_rows(self, tmp_path, row):
         path = write_trace(tmp_path, "bad.csv", row + "\n")
