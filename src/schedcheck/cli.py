@@ -15,8 +15,8 @@ import json
 import sys
 
 from . import __version__, analysis, checker, trace as trace_mod, whatif
-from .config import ClusterConfig, load_config, parse_config_text
-from .errors import SchedCheckError, UnknownTask, read_lines
+from .config import CONFIG_READERS, ClusterConfig, load_config, read_settings
+from .errors import ConfigInvalid, SchedCheckError, UnknownTask, read_lines
 from .model import PHASE_NAMES, build_cluster
 from .rates import compute_rates
 
@@ -189,21 +189,11 @@ def cmd_analyze(args) -> int:
 def _parse_scenario_file(path, base: ClusterConfig) -> whatif.Scenario:
     """`label = ...` names the scenario; every other line overrides its
     field of the base config, even with the field's default value."""
-    label = ""
-    lines, keys = [], []
-    for raw in read_lines(path):
-        line = raw.split("#")[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key == "label":
-            label = value.strip()
-        else:
-            lines.append(line)
-            keys.append(key)
-    overridden = parse_config_text("\n".join(lines))
-    delta = {key: getattr(overridden, key) for key in keys}
+    delta = read_settings("".join(read_lines(path)), ClusterConfig,
+                          ConfigInvalid, "config",
+                          {**CONFIG_READERS, "label": str})
+    label = delta.pop("label", "")
+    base.override(**delta)  # a bad scenario fails before any leg runs
     return whatif.Scenario(base, delta, label or path)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigInvalid, read_lines
 
@@ -69,11 +69,6 @@ class ClusterConfig:
         return replace(self, **changes)
 
 
-_INT_KEYS = {"node_count", "slots_per_node", "max_queue", "task_timeout_ms",
-             "max_speculative", "fairness_wait_ms", "fair_pools"}
-_FLOAT_KEYS = {"deadline_factor", "speculation_factor", "reduce_slowstart"}
-
-
 def _parse_capacity_queues(text: str) -> tuple:
     # e.g. "prod:0.7,ad-hoc:0.3"
     queues = []
@@ -89,8 +84,24 @@ def _parse_capacity_queues(text: str) -> tuple:
     return tuple(queues)
 
 
-def parse_config_text(text: str) -> ClusterConfig:
-    """Parse the flat key=value format; '#' starts a comment."""
+# the config fields whose values are not read by their type alone
+CONFIG_READERS = {"scheduler": str.lower,
+                  "capacity_queues": _parse_capacity_queues}
+
+# keyed by name: under `from __future__ import annotations` a field's
+# type is the text of its annotation
+_READ_BY_TYPE = {"int": int, "float": float, "str": str}
+
+
+def read_settings(text: str, cls, error, kind: str, readers=None) -> dict:
+    """The `key = value` lines of `text` as {key: value}; '#' starts a
+    comment. A key must name a field of the dataclass `cls`, or one of
+    `readers`. Its value is read by its reader if it has one, else by the
+    field's type (int, float or str). A line without '=', an unknown key
+    or a bad number raises `error`; `kind` names the file's kind in the
+    unknown-key message."""
+    readers = readers or {}
+    types = {f.name: f.type for f in fields(cls)}
     values = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -98,20 +109,24 @@ def parse_config_text(text: str) -> ClusterConfig:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ConfigInvalid(f"expected key=value, got {raw!r}")
+            raise error(f"expected key=value, got {raw!r}")
         key, value = key.strip(), value.strip()
-        if key in _INT_KEYS or key in _FLOAT_KEYS:
+        if key in readers:
+            values[key] = readers[key](value)
+        elif key in types:
             try:
-                values[key] = int(value) if key in _INT_KEYS else float(value)
+                values[key] = _READ_BY_TYPE[types[key]](value)
             except ValueError:
-                raise ConfigInvalid(f"bad value for {key}: {value!r}") from None
-        elif key == "scheduler":
-            values[key] = value.lower()
-        elif key == "capacity_queues":
-            values[key] = _parse_capacity_queues(value)
+                raise error(f"bad value for {key}: {value!r}") from None
         else:
-            raise ConfigInvalid(f"unknown config key {key!r}")
-    return ClusterConfig(**values)
+            raise error(f"unknown {kind} key {key!r}")
+    return values
+
+
+def parse_config_text(text: str) -> ClusterConfig:
+    """Parse the flat key=value format; '#' starts a comment."""
+    return ClusterConfig(**read_settings(text, ClusterConfig, ConfigInvalid,
+                                         "config", CONFIG_READERS))
 
 
 def load_config(path) -> ClusterConfig:

@@ -19,8 +19,11 @@ class SlotConflict(SchedCheckError):
 
 
 class MalformedRow(SchedCheckError):
-    def __init__(self, line_no, reason):
-        super().__init__(f"line {line_no}: {reason}")
+    """A trace row does not parse; the message names its file and line."""
+
+    def __init__(self, path, line_no, reason):
+        super().__init__(f"{path}: line {line_no}: {reason}")
+        self.path = path
         self.line_no = line_no
         self.reason = reason
 

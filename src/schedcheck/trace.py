@@ -9,12 +9,11 @@ UTF-8, LF or CRLF, '#' comment lines ignored, empty optional fields allowed.
 from __future__ import annotations
 
 import csv
-import io
+import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
+from .config import read_settings
 from .errors import (DuplicateTaskId, EmptyWorkload, MalformedRow,
                      OrphanReduce, SpecInvalid, read_lines)
 
@@ -78,46 +77,56 @@ def from_rows(rows) -> WorkloadTrace:
                          task_count=len(records), failed_count=failed)
 
 
-def _parse_row(line_no, row) -> TaskRecord:
+def _parse_row(path, line_no, row) -> TaskRecord:
     if len(row) != len(HEADER):
-        raise MalformedRow(line_no, f"expected {len(HEADER)} fields, got {len(row)}")
+        raise MalformedRow(path, line_no,
+                           f"expected {len(HEADER)} fields, got {len(row)}")
     (task_id, job_id, kind, submit, duration,
      deadline, preferred, outcome, cause) = (f.strip() for f in row)
     if not task_id or not job_id:
-        raise MalformedRow(line_no, "task_id and job_id must be non-empty")
+        raise MalformedRow(path, line_no,
+                           "task_id and job_id must be non-empty")
     kind = kind.lower()
     if kind not in (MAP, REDUCE):
-        raise MalformedRow(line_no, f"kind must be map or reduce, got {kind!r}")
+        raise MalformedRow(path, line_no,
+                           f"kind must be map or reduce, got {kind!r}")
     try:
         submit_ms = int(submit)
         duration_ms = int(duration)
     except ValueError:
-        raise MalformedRow(line_no, "submit_ms and duration_ms must be integers")
+        raise MalformedRow(path, line_no,
+                           "submit_ms and duration_ms must be integers")
     if submit_ms < 0:
-        raise MalformedRow(line_no, "submit_ms must be >= 0")
+        raise MalformedRow(path, line_no, "submit_ms must be >= 0")
     if duration_ms <= 0:
-        raise MalformedRow(line_no, "duration_ms must be > 0")
+        raise MalformedRow(path, line_no, "duration_ms must be > 0")
     try:
         deadline_ms = int(deadline) if deadline else None
         preferred_node = int(preferred) if preferred else None
     except ValueError:
-        raise MalformedRow(line_no, "deadline_ms and preferred_node must be integers")
+        raise MalformedRow(path, line_no,
+                           "deadline_ms and preferred_node must be integers")
     if preferred_node is not None and preferred_node < 0:
-        raise MalformedRow(line_no, "preferred_node must be >= 0")
+        raise MalformedRow(path, line_no, "preferred_node must be >= 0")
     outcome = outcome.upper()
     if outcome not in ("SUCCESS", "FAIL"):
-        raise MalformedRow(line_no, f"outcome must be SUCCESS or FAIL, got {outcome!r}")
+        raise MalformedRow(path, line_no,
+                           f"outcome must be SUCCESS or FAIL, got {outcome!r}")
     return TaskRecord(task_id, job_id, kind, submit_ms, duration_ms,
                       deadline_ms, preferred_node, outcome, cause or None)
 
 
 def _iter_file_rows(path):
-    for line_no, row in enumerate(csv.reader(read_lines(path)), start=1):
-        if not row or row[0].lstrip().startswith("#"):
-            continue
-        if [f.strip().lower() for f in row] == list(HEADER):
-            continue
-        yield line_no, _parse_row(line_no, row)
+    rows = csv.reader(read_lines(path))
+    try:
+        for line_no, row in enumerate(rows, start=1):
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            if [f.strip().lower() for f in row] == list(HEADER):
+                continue
+            yield line_no, _parse_row(path, line_no, row)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise MalformedRow(path, rows.line_num, str(exc)) from None
 
 
 def parse(paths) -> WorkloadTrace:
@@ -219,45 +228,28 @@ class GeneratorSpec:
             raise SpecInvalid(f"unknown profile {self.profile!r}")
 
 
-_GEN_INT_KEYS = {"n_tasks", "maps_per_job", "reduces_per_job",
-                 "mean_duration_ms", "interarrival_ms", "node_count",
-                 "timeout_ms"}
-_GEN_FLOAT_KEYS = {"failure_fraction", "locality_fraction"}
-
-
 def parse_generator_spec(text: str) -> GeneratorSpec:
-    values = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise SpecInvalid(f"expected key=value, got {raw!r}")
-        key, value = key.strip(), value.strip()
-        if key in _GEN_INT_KEYS or key in _GEN_FLOAT_KEYS:
-            try:
-                values[key] = int(value) if key in _GEN_INT_KEYS \
-                    else float(value)
-            except ValueError:
-                raise SpecInvalid(f"bad value for {key}: {value!r}") from None
-        elif key == "profile":
-            values[key] = value
-        else:
-            raise SpecInvalid(f"unknown generator key {key!r}")
-    return GeneratorSpec(**values)
+    return GeneratorSpec(**read_settings(text, GeneratorSpec, SpecInvalid,
+                                         "generator"))
 
 
 def _preferred(rng, spec):
     if rng.random() < spec.locality_fraction:
-        return int(rng.integers(0, spec.node_count))
+        return rng.randrange(spec.node_count)
     return None
+
+
+def _quick_duration(rng, spec):
+    """A quick task's duration, drawn from [mean / 2, 3 * mean / 2] but
+    never below 1 ms, which the trace format rejects."""
+    return rng.randrange(max(1, spec.mean_duration_ms // 2),
+                         spec.mean_duration_ms * 3 // 2 + 1)
 
 
 def _synthesize_uniform(spec, rng):
     rows = []
     n_fail = round(spec.n_tasks * spec.failure_fraction)
-    fail_ids = set(rng.choice(spec.n_tasks, size=n_fail, replace=False).tolist())
+    fail_ids = set(rng.sample(range(spec.n_tasks), n_fail))
     per_job = spec.maps_per_job + spec.reduces_per_job
     submit = 0
     seq = 0
@@ -268,10 +260,10 @@ def _synthesize_uniform(spec, rng):
         n_maps = max(1, min(spec.maps_per_job, size))
         for k in range(size):
             kind = MAP if k < n_maps else REDUCE
-            duration = int(rng.integers(spec.mean_duration_ms // 2,
-                                        spec.mean_duration_ms * 3 // 2 + 1))
+            duration = _quick_duration(rng, spec)
             if seq in fail_ids:
-                duration = spec.timeout_ms + int(rng.integers(1, spec.timeout_ms // 2))
+                duration = spec.timeout_ms + rng.randrange(
+                    1, spec.timeout_ms // 2)
             rows.append(TaskRecord(
                 task_id=f"t{seq}", job_id=f"j{jid}", kind=kind,
                 submit_ms=submit, duration_ms=duration, deadline_ms=None,
@@ -279,7 +271,7 @@ def _synthesize_uniform(spec, rng):
                 outcome="FAIL" if seq in fail_ids else "SUCCESS",
                 failure_cause_label="timeout" if seq in fail_ids else None))
             seq += 1
-        submit += int(rng.integers(0, 2 * spec.interarrival_ms + 1))
+        submit += rng.randrange(2 * spec.interarrival_ms + 1)
     return rows
 
 
@@ -298,11 +290,7 @@ def _synthesize_opencloud(spec, rng):
 
     def advance():
         nonlocal submit
-        submit += int(rng.integers(0, 2 * spec.interarrival_ms + 1))
-
-    def quick_duration():
-        return int(rng.integers(spec.mean_duration_ms // 2,
-                                spec.mean_duration_ms * 3 // 2 + 1))
+        submit += rng.randrange(2 * spec.interarrival_ms + 1)
 
     def add(kind, job, duration, outcome, cause=None):
         nonlocal seq
@@ -325,19 +313,19 @@ def _synthesize_opencloud(spec, rng):
             n_reduce = cascades_left
         cascades_left -= n_reduce
         for _ in range(3):
-            add(MAP, job, quick_duration(), "SUCCESS")
+            add(MAP, job, _quick_duration(rng, spec), "SUCCESS")
         straggler = spec.timeout_ms + spec.timeout_ms // 2
         add(MAP, job, straggler, "FAIL", "speculative")
         for _ in range(n_reduce):
-            add(REDUCE, job, quick_duration(), "FAIL", "cascade")
+            add(REDUCE, job, _quick_duration(rng, spec), "FAIL", "cascade")
         advance()
 
     # Lone-job timeouts: no siblings, so no duration estimate and no
     # speculation; the task simply exceeds the timeout.
     for _ in range(n_timeout):
         jid += 1
-        add(MAP, f"j{jid}", spec.timeout_ms + int(rng.integers(
-            spec.timeout_ms // 10, spec.timeout_ms // 2)), "FAIL", "timeout")
+        add(MAP, f"j{jid}", spec.timeout_ms + rng.randrange(
+            spec.timeout_ms // 10, spec.timeout_ms // 2), "FAIL", "timeout")
         advance()
 
     # Filler jobs of successful work.
@@ -347,14 +335,16 @@ def _synthesize_opencloud(spec, rng):
         size = min(spec.maps_per_job + spec.reduces_per_job, spec.n_tasks - seq)
         n_maps = max(1, min(spec.maps_per_job, size))
         for k in range(size):
-            add(MAP if k < n_maps else REDUCE, job, quick_duration(), "SUCCESS")
+            add(MAP if k < n_maps else REDUCE, job,
+                _quick_duration(rng, spec), "SUCCESS")
         advance()
     return rows
 
 
 def synthesize(spec: GeneratorSpec, seed: int) -> WorkloadTrace:
-    """Deterministic for a fixed (spec, seed) pair."""
-    rng = np.random.default_rng(seed)
+    """Deterministic for a fixed (spec, seed) pair on a given Python
+    version (the draws come from `random.Random`)."""
+    rng = random.Random(seed)
     if spec.profile == "opencloud":
         rows = _synthesize_opencloud(spec, rng)
     else:

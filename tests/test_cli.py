@@ -107,6 +107,31 @@ class TestVerify:
                      "--trace", str(tmp_path / "missing.csv"),
                      "--properties", props(tmp_path, GOAL0_PROPS)]) == 3
 
+    def test_bad_row_names_its_trace_file(self, tmp_path, capsys):
+        config, trace = write_fixture(tmp_path, "map_reduce_gate")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("task_id,job_id,kind,submit_ms,duration_ms,"
+                       "deadline_ms,preferred_node,outcome,failure_cause\n"
+                       "x1,jx,map,0,100,soon,,SUCCESS,\n")
+        code = main(["verify", "--config", config, "--trace", trace, str(bad),
+                     "--properties", props(tmp_path, GOAL0_PROPS)])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {bad}: line 2: " \
+            "deadline_ms and preferred_node must be integers\n"
+
+    def test_over_long_trace_field_exits_three(self, tmp_path, capsys):
+        config, _ = write_fixture(tmp_path, "map_reduce_gate")
+        bad = tmp_path / "long.csv"
+        bad.write_text("task_id,job_id,kind,submit_ms,duration_ms,"
+                       "deadline_ms,preferred_node,outcome,failure_cause\n"
+                       f"m1,j1,map,0,100,,,FAIL,{'x' * 200_000}\n")
+        code = main(["verify", "--config", config, "--trace", str(bad),
+                     "--properties", props(tmp_path, GOAL0_PROPS)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 2: field larger than")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("budget", [["--time-budget", "-1"],
                                         ["--state-budget", "0"],
                                         ["--state-budget", "-5"]])
@@ -287,6 +312,22 @@ class TestWhatif:
         assert cmp_["baseline_failure_pct"] == pytest.approx(100.0)
         assert cmp_["scenario_failure_pct"] == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("text,error", [
+        ("label = small\nnode_count = 0\n", "node_count must be >= 1"),
+        ("label = typo\nnode_cout = 3\n", "unknown config key 'node_cout'"),
+        ("slots_per_node = two\n", "bad value for slots_per_node: 'two'")])
+    def test_bad_scenario_fails_before_a_leg_runs(self, tmp_path, capsys,
+                                                 text, error):
+        config, trace = write_fixture(tmp_path, "two_jobs_fifo")
+        scenario = tmp_path / "scenario.conf"
+        scenario.write_text(text)
+        code = main(["whatif", "--config", config, "--trace", trace,
+                     "--properties", props(tmp_path, GOAL0_PROPS),
+                     "--scenario", str(scenario)])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert err == f"error: {error}\n" and out == ""
+
     def test_nodes_sweep(self, tmp_path):
         config, trace = write_fixture(tmp_path, "two_jobs_fifo")
         out = tmp_path / "report.json"
@@ -438,6 +479,39 @@ class TestUsage:
         assert done.returncode == 0, done.stderr
         assert "cluster reaches goal0" in done.stdout
         assert run("frobnicate").returncode == 3
+
+
+class TestStandardLibraryOnly:
+    """schedcheck needs nothing beyond the Python standard library."""
+
+    def test_cli_imports_no_third_party_module(self):
+        code = ("import sys; before = set(sys.modules); "
+                "import schedcheck.cli; "
+                "print(sorted({m.split('.')[0] for m in sys.modules} "
+                "- {m.split('.')[0] for m in before} "
+                "- set(sys.stdlib_module_names) - {'schedcheck'}))")
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+    def test_gen_runs_where_numpy_cannot_be_imported(self, tmp_path):
+        stub = tmp_path / "stub" / "numpy"
+        stub.mkdir(parents=True)
+        (stub / "__init__.py").write_text(
+            "raise ImportError('numpy is not installed')\n")
+        spec = tmp_path / "gen.conf"
+        spec.write_text("n_tasks = 50\nprofile = opencloud\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(stub.parent), str(ROOT / "src")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "schedcheck", "gen", "--spec", str(spec),
+             "--seed", "1", "--out", str(tmp_path / "t.csv")],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert trace_mod.parse(tmp_path / "t.csv").task_count == 50
 
 
 def test_pyproject_version_is_the_package_version():

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from schedcheck.config import ClusterConfig, load_config, parse_config_text
@@ -81,6 +83,16 @@ class TestParsing:
     def test_non_finite_factor_rejected(self, key, value):
         with pytest.raises(ConfigInvalid, match=f"{key} must be finite"):
             parse_config_text(f"{key} = {value}\n")
+
+    def test_every_field_reads_back_from_text(self):
+        # each field is read by its type, or by its own reader
+        cfg = ClusterConfig(scheduler="fair", deadline_factor=2.5,
+                            capacity_queues=(("prod", 0.75), ("adhoc", 0.25)))
+        text = "".join(
+            f"{f.name} = {getattr(cfg, f.name)}\n" for f in fields(cfg)
+            if f.name != "capacity_queues")
+        assert parse_config_text(
+            text + "capacity_queues = prod:0.75,adhoc:0.25\n") == cfg
 
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "cluster.conf"

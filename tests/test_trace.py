@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from schedcheck.errors import (DuplicateTaskId, EmptyWorkload, MalformedRow,
@@ -57,6 +59,25 @@ class TestParse:
             parse(path)
         assert exc.value.line_no == 2
 
+    def test_malformed_row_names_its_file(self, tmp_path):
+        ok = write_trace(tmp_path, "ok.csv", "m1,j1,map,0,100,,,SUCCESS,\n")
+        bad = write_trace(tmp_path, "bad.csv", "m2,j2,map,0,100,x,,SUCCESS,\n")
+        with pytest.raises(MalformedRow) as exc:
+            parse([ok, bad])
+        assert (exc.value.path, exc.value.line_no) == (bad, 2)
+        assert exc.value.reason == \
+            "deadline_ms and preferred_node must be integers"
+        assert str(exc.value) == f"{bad}: line 2: {exc.value.reason}"
+
+    def test_over_long_field_is_a_malformed_row(self, tmp_path):
+        # csv refuses a field over csv.field_size_limit() (131,072 chars)
+        path = write_trace(tmp_path, "long.csv",
+                           f"m1,j1,map,0,100,,,FAIL,{'x' * 200_000}\n")
+        with pytest.raises(MalformedRow) as exc:
+            parse(path)
+        assert (exc.value.path, exc.value.line_no) == (path, 2)
+        assert "field larger than field limit" in exc.value.reason
+
     def test_duplicate_task_id(self, tmp_path):
         path = write_trace(tmp_path, "dup.csv",
                            "m1,j1,map,0,100,,,SUCCESS,\n"
@@ -113,6 +134,13 @@ class TestGenerator:
         with pytest.raises(SpecInvalid):
             parse_generator_spec("bogus_key = 1\n")
 
+    def test_every_spec_field_reads_back_from_text(self):
+        spec = GeneratorSpec(n_tasks=7, failure_fraction=0.25,
+                             profile="opencloud")
+        assert parse_generator_spec("".join(
+            f"{f.name} = {getattr(spec, f.name)}\n"
+            for f in fields(spec))) == spec
+
     @pytest.mark.parametrize("line", ["n_tasks = ten", "timeout_ms = 1.5",
                                       "failure_fraction = some"])
     def test_bad_number_in_spec_names_key_and_value(self, line):
@@ -136,6 +164,19 @@ class TestGenerator:
         trace = synthesize(spec, seed=3)
         assert trace.task_count == 100
         assert {r.preferred_node for r in trace.records} == {0}
+
+    @pytest.mark.parametrize("profile", ["uniform", "opencloud"])
+    def test_least_mean_duration_writes_a_parsable_trace(self, tmp_path,
+                                                         profile):
+        # a quick task draws from [mean / 2, 3 * mean / 2], which for a
+        # 1 ms mean holds 0 ms, a duration the trace format rejects
+        spec = GeneratorSpec(n_tasks=200, mean_duration_ms=1,
+                             profile=profile)
+        trace = synthesize(spec, seed=1)
+        assert min(r.duration_ms for r in trace.records) >= 1
+        out = tmp_path / "least.csv"
+        write(trace, out)
+        assert parse(out).records == trace.records
 
     def test_deterministic_for_fixed_seed(self):
         spec = GeneratorSpec(n_tasks=200)
