@@ -402,72 +402,27 @@ class GlobalState:
 
     # -- queue -------------------------------------------------------------
 
-    def iter_queue(self):
-        """Pending entries in queue order, capped at the max_queue scan
-        window; yields (global_index, code, job_id, task_id). Only the
-        resources-deadlock check and the tests read it: the policies pick
-        from the pools (pool_heads).
-
-        A base entry is pending if and only if its task is still SUBMITTED:
-        assignment and cascade failure are the only ways out of SUBMITTED,
-        and both consume the entry. Base entry i is task i, its code the
-        task's kind, so it is read by position, and the walk starts at the
-        first pending one. `extra` holds the task positions of the pending
-        speculative entries (assignment and cascade failure drop them); one
-        reads as its task's base entry with the code of a copy."""
-        scanned = 0
-        st = self.statics
-        cap = st.config.max_queue
-        kind, job_of, job_ids, tids = st.kind, st.job_of, st.job_ids, st.tids
-        tasks = self.tasks
-        n = st.workload
-        # each pool's first pending entry: its first held reduce, else its
-        # cursor map
-        i = min([held[0] if held else order[c] for order, c, held in zip(
-            st.pool_tasks, self.pool_cursor, self.pool_held)])
-        while i < n and scanned < cap:
-            if tasks[i >> 10][(i >> 5) & 31][i & 31].phase == SUBMITTED:
-                yield i, kind[i], job_ids[job_of[i]], tids[i]
-                scanned += 1
-            i += 1
-        for k, p in enumerate(self.extra):
-            if scanned >= cap:
-                break
-            yield n + k, kind[p] + 2, job_ids[job_of[p]], tids[p]
-            scanned += 1
-
-    def eligible_entries(self):
-        """The entries of iter_queue that assignment may take: none of a
-        failed job, a reduce only past its job's slowstart gate, a copy only
-        while its original runs (a base entry's task is SUBMITTED)."""
-        st = self.statics
-        n, job_of, gate = st.workload, st.job_of, st.gate
-        tasks, jobs, extra = self.tasks, self.jobs, self.extra
-        for entry in self.iter_queue():
-            qpos, code = entry[0], entry[1]
-            p = qpos if qpos < n else extra[qpos - n]
-            j = job_of[p]
-            job = jobs[j >> 10][(j >> 5) & 31][j & 31]
-            if job.failed:
-                continue
-            if code == CODE_REDUCE:
-                if job.fin_maps < gate[j]:
-                    continue
-            elif code != CODE_MAP and \
-                    tasks[p >> 10][(p >> 5) & 31][p & 31].phase != PROCESSED:
-                continue
-            yield entry
-
     def pool_heads(self) -> list:
         """Each pool's first eligible entry in the max_queue window, as its
-        queue index, or None: the entry that a scan of eligible_entries
-        would meet first among the pool's. That is the pool's first held
-        reduce whose gate is open, else its cursor map, else its first
-        speculative entry whose original runs, if it lies in the window (a
-        pool's later entries lie further out). A pending base entry never
-        belongs to a failed job (a job fails only by the cascade that fails
-        its pending tasks and drops its copies' entries), so no job's
-        failed flag is read.
+        queue index, or None.
+
+        The queue is the pending base entries in position order, then the
+        speculative entries of `extra` in order: base entry p is task p,
+        its code the task's kind, pending while the task is SUBMITTED
+        (assignment and cascade failure are the only ways out, and both
+        consume the entry); extra entry k, at queue index n + k, is a copy
+        of task extra[k]. The window is the queue's first max_queue
+        entries. An entry is eligible unless its job has failed, it is a
+        reduce before its job's slowstart gate, or it is a copy whose
+        original no longer runs.
+
+        A pool's first eligible entry is its first held reduce whose gate
+        is open, else its cursor map, else its first speculative entry
+        whose original runs, if it lies in the window (a pool's later
+        entries lie further out). A pending base entry never belongs to a
+        failed job (a job fails only by the cascade that fails its pending
+        tasks and drops its copies' entries), so no job's failed flag is
+        read.
 
         At most qpos pending entries precede queue index qpos, so only a
         head at max_queue or beyond can lie outside the window. Before it
@@ -508,26 +463,10 @@ class GlobalState:
                     first_map = min([order[c] for order, c in zip(
                         st.pool_tasks, self.pool_cursor)])
                 if reduces + max(head - first_map, 0) >= cap and \
-                        self._pending_before(head) >= cap:
+                        _pending_before(st, self.pool_cursor, self.pool_held,
+                                        self.pool_gone, head) >= cap:
                     heads[q] = None
         return heads
-
-    def _pending_before(self, qpos: int) -> int:
-        """The pending entries before queue index qpos, in O(pools log n):
-        per pool, its held reduces before it, and its positions from its
-        cursor up to it less the ones consumed (pool_gone); before a
-        speculative entry, every pending base entry and the speculative
-        entries ahead of it."""
-        st = self.statics
-        p = min(qpos, st.workload)
-        before = qpos - p
-        for order, cursor, held, gone in zip(st.pool_tasks, self.pool_cursor,
-                                             self.pool_held, self.pool_gone):
-            before += bisect_left(held, p)
-            past = bisect_left(order, p) - cursor
-            if past > 0:
-                before += past - bisect_left(gone, p)
-        return before
 
     # -- fingerprints --------------------------------------------------------
 
@@ -572,6 +511,24 @@ class GlobalState:
 
     def is_terminal(self) -> bool:
         return not enabled_moves(self)
+
+
+def _pending_before(st: Statics, cursor: tuple, held: tuple, gone: tuple,
+                    qpos: int) -> int:
+    """The pending entries before queue index qpos, in O(pools log n), from
+    the pool fields of a state (GlobalState.pool_cursor, pool_held and
+    pool_gone) or of a _Builder: per pool, its held reduces before it, and
+    its positions from its cursor up to it less the ones consumed (gone);
+    before a speculative entry, every pending base entry and the
+    speculative entries ahead of it."""
+    p = min(qpos, st.workload)
+    before = qpos - p
+    for order, c, h, g in zip(st.pool_tasks, cursor, held, gone):
+        before += bisect_left(h, p)
+        past = bisect_left(order, p) - c
+        if past > 0:
+            before += past - bisect_left(g, p)
+    return before
 
 
 def position_sum(state: GlobalState, sym: bool) -> int:
@@ -805,24 +762,15 @@ class _Builder:
         # only an entry that left the queue can move the queue fields
         if self.taken:
             self._advance_queue(self.taken)
-        tasks = self.tasks
-        state = self._build()
-        # Deadlock flags go to the blocked tasks of every job on a cycle of
-        # the wait-for graph. A job on a cycle has an out-edge, so it is
-        # blocked, and an in-edge, so it is a holder; a job that is both
-        # waits on itself. So the jobs on cycles are blocked & holders.
-        graph = _wait_for(state)
-        to_flag = [] if graph is None else [
-            p for j, ps in graph[1].items() if j in graph[0]
-            for p in ps if not table_get(tasks, p).dl]
-        if not to_flag:
-            return state
-        for p in to_flag:
-            # dl is a record's last field
-            self.set_task(p, tuple.__new__(TaskRT, table_get(tasks, p)[:-1]
-                                           + (1,)))
-        self.counters[_DEADLOCK] += len(to_flag)
-        # flags never free slots, so no second detection pass
+        # A cluster with no free slot and nothing running may be deadlocked
+        # (_deadlock_flags); flags never free a slot, so one pass will do.
+        if not self.counters[_FREE] and not self.running:
+            to_flag = _deadlock_flags(self)
+            for p in to_flag:
+                # dl is a record's last field
+                self.set_task(p, tuple.__new__(
+                    TaskRT, table_get(self.tasks, p)[:-1] + (1,)))
+            self.counters[_DEADLOCK] += len(to_flag)
         return self._build()
 
     def _advance_queue(self, taken: list):
@@ -1265,58 +1213,46 @@ def iter_transitions(state: GlobalState) -> _Transitions:
 # --------------------------------------------------------------------------
 # Resources-deadlock detection
 
-def wait_for_graph(state: GlobalState):
-    """The wait-for graph over jobs when the cluster is slot-starved.
+def _deadlock_flags(b: _Builder) -> list:
+    """The positions of the tasks that the state being built by `b` newly
+    flags as resources-deadlocked, for a cluster with no free slot and
+    nothing running (which _Builder.finish checks).
 
-    Returns (edges, blocked) where edges maps a blocked job to the jobs
-    whose stuck reduces hold the slots it needs, and blocked maps a job to
-    its queued tasks waiting only on slot scarcity. Returns (None, None)
-    unless the state is a candidate deadlock: zero free slots and every
-    occupied slot holding a reduce whose own maps have not all finished.
+    Such a cluster is a candidate deadlock when every occupied slot holds
+    a reduce whose own maps have not all finished: with nothing running
+    there is no copy, so the occupants are the tasks in sched_pending, and
+    their jobs are the holders. A pending task waits only on slots if it
+    is eligible and in the max_queue window (see GlobalState.pool_heads).
+    Any free slot would serve any such task, so the wait-for graph over
+    jobs is complete from the jobs of those tasks to the holders, and the
+    jobs on its cycles are the holders that have such a task. Each such
+    task is flagged, once: the flag is sticky.
 
-    Any free slot would serve any blocked task, so every blocked job waits
-    on every holder job: the graph is complete from the blocked jobs to the
-    holders, and its cycles need no search (see _Builder.finish)."""
-    graph = _wait_for(state)
-    if graph is None:
-        return None, None
-    holders, blocked = graph
-    jids, tids = state.statics.job_ids, state.statics.tids
-    held = {jids[j] for j in holders}
-    return ({jids[j]: set(held) for j in blocked},
-            {jids[j]: [tids[p] for p in ps] for j, ps in blocked.items()})
-
-
-def _wait_for(state: GlobalState):
-    """wait_for_graph's parts by position: the set of holder jobs and the
-    blocked task positions of each blocked job, or None."""
-    if state.counters.free_slots != 0:
-        return None
-    st = state.statics
-    n, job_of, kind = st.workload, st.job_of, st.kind
-    holders = set()
-    for node in state.nodes:  # a switched-off node holds nothing
-        for p in node.slots:
-            if p is None:
-                continue
-            if p >= n:
-                return None  # a copy resolves with its original
-            if table_get(state.tasks, p).phase == PROCESSED:
-                return None  # running tasks complete eventually
-            j = job_of[p]
-            if kind[p] == CODE_REDUCE and \
-                    table_get(state.jobs, j).fin_maps < st.total_maps[j]:
-                holders.add(j)
-            else:
-                return None  # an executable occupant will progress
-    if not holders:
-        return None
-
-    blocked = {}  # job position -> positions blocked only by slot scarcity
-    for qpos, code, _jid, _tid in state.eligible_entries():
-        if code == CODE_MAP or code == CODE_REDUCE:
-            blocked.setdefault(job_of[qpos], []).append(qpos)
-    return (holders, blocked) if blocked else None
+    A holder's slowstart gate is open, since one of its reduces was
+    assigned and finished maps only grow, so every pending task of a
+    holder is eligible, and only the window is left to test: fewer than
+    max_queue entries pending before it."""
+    st = b.src.statics
+    kind, job_of, jobs = st.kind, st.job_of, b.jobs
+    holders = []
+    for p in b.sched_pending:
+        j = job_of[p]
+        if kind[p] != CODE_REDUCE or table_get(jobs, j).fin_maps >= \
+                st.total_maps[j]:
+            return []  # an executable occupant will progress
+        if j not in holders:
+            holders.append(j)
+    cap = st.config.max_queue
+    windowed = st.workload > cap  # else every base entry is in the window
+    flags = []
+    for j in holders:
+        for p in st.job_tasks[j]:
+            rt = table_get(b.tasks, p)
+            if rt.phase == SUBMITTED and not rt.dl and (
+                    not windowed or _pending_before(
+                        st, b.cursor, b.held, b.gone, p) < cap):
+                flags.append(p)
+    return flags
 
 
 # --------------------------------------------------------------------------

@@ -119,12 +119,14 @@ def _parse_row(path, line_no, row) -> TaskRecord:
 def _iter_file_rows(path):
     rows = csv.reader(read_lines(path))
     try:
-        for line_no, row in enumerate(rows, start=1):
+        # a row is named by the file line it ends on: a quoted field may
+        # span lines, so the rows read so far do not count them
+        for row in rows:
             if not row or row[0].lstrip().startswith("#"):
                 continue
             if [f.strip().lower() for f in row] == list(HEADER):
                 continue
-            yield line_no, _parse_row(path, line_no, row)
+            yield rows.line_num, _parse_row(path, rows.line_num, row)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise MalformedRow(path, rows.line_num, str(exc)) from None
 

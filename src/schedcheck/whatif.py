@@ -117,7 +117,9 @@ def sweep(base: ClusterConfig, dimension: str, values, workload: WorkloadTrace,
           time_budget_s: float = 0.0) -> list:
     """One ComparisonReport per value of the swept dimension, in order.
     The baseline leg is verified once and shared by every report, and a
-    value whose configuration equals the base reuses it as its scenario."""
+    value whose configuration equals the base reuses it as its scenario.
+    Every value's configuration is built first, so a bad value fails
+    before any leg runs."""
     field = {"nodes": "node_count", "slots": "slots_per_node",
              "timeout": "task_timeout_ms", "scheduler": "scheduler"}.get(dimension)
     if field is None:
@@ -125,13 +127,13 @@ def sweep(base: ClusterConfig, dimension: str, values, workload: WorkloadTrace,
     values = list(values)
     if len(values) < 2:
         raise ValueError("a sweep needs at least two values")
+    configs = [base.override(**{field: v}) for v in values]
     base_leg = _run_leg(base, workload, goal, strategy, state_budget,
                         time_budget_s)
     reports = []
-    for v in values:
-        scenario = Scenario(base, {field: v}, label=f"{dimension}={v}")
-        config = scenario.applied()
+    for v, config in zip(values, configs):
         scen_leg = base_leg if config == base else _run_leg(
             config, workload, goal, strategy, state_budget, time_budget_s)
-        reports.append(ComparisonReport(scenario.label, base_leg, scen_leg))
+        reports.append(ComparisonReport(f"{dimension}={v}", base_leg,
+                                        scen_leg))
     return reports

@@ -5,9 +5,11 @@ which runs the same checks over a much larger draw count.
 """
 
 from fixtures import random_workload
+import queue_reference
 
 from schedcheck.model import (CODE_MAP, CODE_REDUCE, FAILED, PROCESSED,
-                              SCHEDULED, SUBMITTED, StepRecord, build_cluster,
+                              SCHEDULED, SUBMITTED, StepRecord,
+                              _pending_before, build_cluster,
                               iter_transitions, replay, terminal_summary)
 from schedcheck.rates import compute_rates
 
@@ -33,22 +35,25 @@ def check_state(state):
             assert state.job(jid).fin_maps == st.total_maps[j], \
                 f"reduce {tid} executed before all maps of {jid} finished"
 
-    # the base queue: consumed below the head (the first SUBMITTED task),
-    # and scanned as exactly the SUBMITTED tasks from the head on, in
-    # queue order
     # base entry i is task i's (code, job_id, task_id), its code its kind
     base = [(st.kind[i], st.job_ids[st.job_of[i]], tid)
             for i, tid in enumerate(st.tids)]
     pending = [(i,) + base[i] for i in range(n)
                if state.task(base[i][2]).phase == SUBMITTED]
-    scanned = [e for e in state.iter_queue() if e[0] < len(base)]
-    assert scanned == pending[:state.config.max_queue], \
-        "iter_queue does not yield the pending base entries"
-    assert [e for e in state.iter_queue() if e[0] >= n] == [
-        (n + k, base[p][0] + 2) + base[p][1:]
-        for k, p in enumerate(state.extra)][
-            :state.config.max_queue - len(scanned)], \
-        "iter_queue does not yield the speculative entries as copies"
+    # each pool's head is its first eligible entry in the window of the
+    # queue read from its definition
+    first = [None] * len(st.pool_tasks)
+    for entry in queue_reference.eligible_entries(state):
+        p = entry[0] if entry[0] < n else state.extra[entry[0] - n]
+        if first[st.pool[p]] is None:
+            first[st.pool[p]] = entry[0]
+    assert state.pool_heads() == first, \
+        "the pool heads are not each pool's first eligible entry in the window"
+    # the deadlock flags are sticky, so every blocked task of a job on a
+    # cycle of the wait-for graph carries one
+    assert all(state.task(tid).dl
+               for tid in queue_reference.deadlocked_tasks(state)), \
+        "a blocked task of a job on a wait-for cycle carries no deadlock flag"
     # the policies skip the failed flag of a pending entry's job
     assert not any(state.job(entry[2]).failed for entry in pending), \
         "a pending base entry belongs to a failed job"
@@ -95,7 +100,8 @@ def check_state(state):
     # which decides the window once the queue outgrows max_queue
     before = 0
     for qpos in range(n + len(state.extra)):
-        assert state._pending_before(qpos) == before, \
+        assert _pending_before(st, state.pool_cursor, state.pool_held,
+                               state.pool_gone, qpos) == before, \
             f"the pools miscount the pending entries before {qpos}"
         before += qpos >= n or \
             state.task(base[qpos][2]).phase == SUBMITTED

@@ -37,6 +37,15 @@ _GOALS_TEXT = """
 #assert cluster reaches sched80;
 """
 
+# Criterion 1 adds goals that constrain failures, which land only at
+# completion: goal0's verdict is nofail's on every fixture, not theirs.
+_FAILURE_GOALS_TEXT = """
+#define clean failurerate <= 0 && schedulabilityrate >= 100 && completedscheduled == workload;
+#define anyfail failurerate > 0;
+#assert cluster reaches clean;
+#assert cluster reaches anyfail;
+"""
+
 
 def _build(name):
     fx = FIXTURES[name]
@@ -55,10 +64,11 @@ def test_criterion_1_oracle_equivalence():
         spent[side] += time.monotonic() - t
         return out
 
-    _, goals = parse_properties(_GOALS_TEXT)
+    _, goals = parse_properties(_GOALS_TEXT + _FAILURE_GOALS_TEXT)
     names = sorted(FIXTURES)
     assert len(names) >= 12
     compared = 0
+    verdicts = {goal.name: [] for goal in goals}
     for name in names:
         initial = _build(name)
         space = timed("oracle", oracle.explore, initial)
@@ -66,6 +76,7 @@ def test_criterion_1_oracle_equivalence():
             want = timed("oracle", oracle.goal_verdict, space, goal)
             got = timed("checker", verify, initial, goal, "dfs").verdict
             assert got == want, f"{name}/{goal.name}: {got} != oracle {want}"
+            verdicts[goal.name].append(want)
             compared += 1
         for tid in initial.statics.tids:
             for mode, phase in (("eventually", FINISHED_WITHIN_DEADLINE),
@@ -82,7 +93,10 @@ def test_criterion_1_oracle_equivalence():
     print(f"\ncriterion 1: {compared} verdicts across {len(names)} fixtures "
           f"all match the oracle ({elapsed:.1f}s: oracle "
           f"{spent['oracle']:.1f}s, checker {spent['checker']:.1f}s)")
-    assert compared == 208
+    assert compared == 240
+    # each failure goal parts from goal0 on some fixture
+    for goal in ("clean", "anyfail"):
+        assert verdicts[goal] != verdicts["goal0"], goal
     assert elapsed < 60.0
 
 

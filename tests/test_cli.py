@@ -367,6 +367,19 @@ class TestWhatif:
         err = capsys.readouterr().err
         assert err.startswith("error: --sweep") and err.count("\n") == 1
 
+    def test_bad_swept_value_fails_before_any_leg(self, capsys, monkeypatch):
+        from schedcheck import whatif
+        verified = []
+        monkeypatch.setattr(whatif, "verify",
+                            lambda *args, **kwargs: verified.append(args))
+        code = main(["whatif", "--config", str(DEMO_DATA / "cluster.conf"),
+                     "--trace", str(DEMO_DATA / "wordcount.csv"),
+                     "--properties", str(DEMO_DATA / "goals.props"),
+                     "--sweep", "nodes", "--values", "2,0"])
+        assert code == 3 and verified == []
+        out, err = capsys.readouterr()
+        assert err.endswith("\nerror: node_count must be >= 1\n") and out == ""
+
     def test_missing_scenario_errors(self, tmp_path):
         config, trace = write_fixture(tmp_path, "two_jobs_fifo")
         assert main(["whatif", "--config", config, "--trace", trace,

@@ -11,6 +11,7 @@ import pytest
 
 from fixtures import FIXTURES, mk_trace, random_workload, rec
 from invariants import check_state
+import queue_reference
 
 import schedcheck.model as model_mod
 from schedcheck.config import ClusterConfig
@@ -25,7 +26,7 @@ from schedcheck.model import (_NODES_KEY, _SCALAR_KEY, CAUSE_CASCADE,
                               _node_view, _scalar_key, _sym_rt, build_cluster,
                               canonical_key, iter_transitions, position_sum,
                               replay, sum_after, table_records,
-                              terminal_summary, wait_for_graph)
+                              terminal_summary)
 
 
 def first_run(state, limit=100_000):
@@ -416,7 +417,7 @@ class TestDeadlock:
         state = full[0]
         assert state.task("am").dl == 1 and state.task("bm").dl == 1
         assert state.task_phase("am") == WAITING_RESOURCES
-        edges, blocked = wait_for_graph(state)
+        edges, blocked = queue_reference.wait_for_graph(state)
         assert edges == {"j1": {"j1", "j2"}, "j2": {"j1", "j2"}}
         # the deadlocked state is a dead end
         assert state.is_terminal()
@@ -443,6 +444,63 @@ class TestDeadlock:
         assert all(s.task("cm").dl == 0 for s in reached.values())
         assert any(s.task("am").dl and s.task("bm").dl
                    for s in reached.values())
+
+    @staticmethod
+    def flags_against_reference(initial, cap=None):
+        """Explore from `initial` (at most `cap` states) and check that
+        every transition flags exactly the tasks that the wait-for
+        reference of tests/queue_reference.py blocks on a cycle in its
+        target and that its source had not flagged. Returns the states
+        explored, the flagged states among them, and whether the cap cut
+        the search."""
+        st = initial.statics
+        assert not queue_reference.deadlocked_tasks(initial)
+        psum = position_sum(initial, False)
+        seen = {initial.fingerprint(False, psum)}
+        stack = [(initial, psum)]
+        flagged = 0
+        while stack:
+            state, psum = stack.pop()
+            for t in iter_transitions(state):
+                new = {st.tids[p] for p, old, rt in t.writes
+                       if p < st.workload and rt.dl and not old.dl}
+                want = queue_reference.deadlocked_tasks(t.state)
+                assert new == {tid for tid in want if not state.task(tid).dl}
+                after = sum_after(t, psum, False)
+                key = t.state.fingerprint(False, after)
+                if key in seen:
+                    continue
+                if cap is not None and len(seen) >= cap:
+                    return len(seen), flagged, True
+                seen.add(key)
+                flagged += t.state.counters.n_deadlock > 0
+                stack.append((t.state, after))
+        return len(seen), flagged, False
+
+    @pytest.mark.parametrize("policy", ["fifo", "fair", "capacity"])
+    def test_flags_equal_reference_on_fixtures(self, policy):
+        flagged = 0
+        for fx in FIXTURES.values():
+            for changes in ({}, {"max_queue": 1}, {"max_queue": 2}):
+                config = fx.config.override(scheduler=policy, **changes)
+                flagged += self.flags_against_reference(
+                    build_cluster(config, fx.trace))[1]
+        print(f"\n{policy}: {flagged} flagged fixture states")
+        assert flagged > 0
+
+    def test_flags_equal_reference_on_random_workloads(self):
+        rng = random.Random(20261020)
+        flagged = capped = 0
+        for _ in range(200):
+            config, trace = random_workload(rng)
+            for changes in ({}, {"max_queue": 2}):
+                _, hits, cut = self.flags_against_reference(
+                    build_cluster(config.override(**changes), trace),
+                    cap=500)
+                flagged += hits
+                capped += cut
+        print(f"\n{flagged} flagged states, {capped} of 400 spaces capped")
+        assert flagged > 0
 
     def test_no_deadlock_with_strict_slowstart(self):
         fx = FIXTURES["deadlock_cycle"]

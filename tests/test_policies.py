@@ -5,10 +5,11 @@ import pytest
 from fixtures import FIXTURES, mk_trace, rec
 
 import policies_reference
+import queue_reference
 
+import schedcheck.model as model_mod
 from schedcheck.config import ClusterConfig
-from schedcheck.model import (GlobalState, build_cluster, enabled_moves,
-                              iter_transitions)
+from schedcheck.model import build_cluster, iter_transitions
 from schedcheck.policies import job_number, select
 from schedcheck.trace import GeneratorSpec, synthesize
 
@@ -69,15 +70,15 @@ class TestJobNumber:
 class TestFifo:
     def test_picks_first_eligible(self):
         state = activated(FIXTURES["two_jobs_fifo"])
-        eligible = list(state.eligible_entries())
+        eligible = queue_reference.eligible_entries(state)
         assert select(state) == eligible[0][0]
 
     def test_no_eligible_entry(self):
         # both maps run, and the reduce waits in the queue for them
         state = assign_first(assign_first(activated(
             FIXTURES["map_reduce_gate"])))
-        assert [e[3] for e in state.iter_queue()] == ["r1"]
-        assert list(state.eligible_entries()) == []
+        assert [e[3] for e in queue_reference.queue_window(state)] == ["r1"]
+        assert queue_reference.eligible_entries(state) == []
         assert select(state) is None
 
 
@@ -96,7 +97,7 @@ class TestFair:
 
     def test_equal_deficits_keep_queue_order(self):
         state = activated(FIXTURES["fair_two_pools"])
-        eligible = list(state.eligible_entries())
+        eligible = queue_reference.eligible_entries(state)
         pools = policies_reference.pool_states(state)
         # both pools start at equal deficit: the earliest entry wins
         assert len({p.entitled_slots - p.running_slots
@@ -108,7 +109,7 @@ class TestFair:
         # window is a2 (pool 1), b1 (pool 0), b2 (pool 0), and the pick is
         # b1
         state = assign_first(activated(FIXTURES["fair_two_pools"]))
-        eligible = list(state.eligible_entries())
+        eligible = queue_reference.eligible_entries(state)
         assert [state.statics.tids[e[0]] for e in eligible] == \
             ["a2", "b1", "b2"]
         assert select(state) == eligible[1][0]
@@ -169,7 +170,7 @@ class TestCapacity:
         # nothing runs; the window is a1 (queue 1), b1 (queue 0), a2, b2,
         # and the pick is b1
         state = activated(FIXTURES["capacity_two_queues"])
-        eligible = list(state.eligible_entries())
+        eligible = queue_reference.eligible_entries(state)
         assert [state.statics.tids[e[0]] for e in eligible] == \
             ["a1", "b1", "a2", "b2"]
         assert select(state) == eligible[1][0]
@@ -180,7 +181,7 @@ class TestCapacity:
         # fill both slots (one per queue)
         for _ in range(2):
             state = assign_first(state)
-        eligible = list(state.eligible_entries())
+        eligible = queue_reference.eligible_entries(state)
         assert eligible  # two tasks still queued
         # no free slot means the scheduler won't ask, but the policy itself
         # must still answer deterministically: the first entry
@@ -189,27 +190,12 @@ class TestCapacity:
         assert select(state) == eligible[0][0]
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-def test_moves_never_walk_the_queue(policy, monkeypatch):
-    """Every policy picks from the pools: listing the moves reads no queue
-    entry, on any reachable fixture state."""
-    states = [state for fx in FIXTURES.values() for state in reachable(
-        fx.config.override(scheduler=policy), fx.trace)]
-
-    def walked(state):
-        raise AssertionError("enabled_moves walked the queue")
-
-    monkeypatch.setattr(GlobalState, "iter_queue", walked)
-    for state in states:
-        enabled_moves(state)
-
-
 class TestAgainstListBasedReference:
     """`select` picks the entry the list-based policies picked."""
 
     @staticmethod
     def assert_agrees(policy, state):
-        eligible = list(state.eligible_entries())
+        eligible = queue_reference.eligible_entries(state)
         got = select(state)
         assert got == policies_reference.select(policy, eligible, state)
         return got
@@ -260,7 +246,7 @@ class TestAgainstListBasedReference:
             state = initial
             while True:
                 got = self.assert_agrees(policy, state)
-                queued += any(e[0] >= n for e in state.eligible_entries())
+                queued += any(e[0] >= n for e in queue_reference.eligible_entries(state))
                 picked += got is not None and got >= n
                 successors = list(iter_transitions(state))
                 if not successors:
@@ -277,14 +263,14 @@ class TestAgainstListBasedReference:
         # fifo only held reduces can push the one pool's head out, so each
         # job has one map and two reduces, which wait in held for the map.
         counted = []
-        count = GlobalState._pending_before
+        count = model_mod._pending_before
 
-        def counting(state, qpos):
-            before = count(state, qpos)
+        def counting(*args):
+            before = count(*args)
             counted.append(before)
             return before
 
-        monkeypatch.setattr(GlobalState, "_pending_before", counting)
+        monkeypatch.setattr(model_mod, "_pending_before", counting)
         trace = synthesize(GeneratorSpec(n_tasks=1_000, interarrival_ms=500,
                                          maps_per_job=1, reduces_per_job=2),
                            seed=7)

@@ -69,6 +69,16 @@ class TestParse:
             "deadline_ms and preferred_node must be integers"
         assert str(exc.value) == f"{bad}: line 2: {exc.value.reason}"
 
+    def test_rows_are_named_by_file_line(self, tmp_path):
+        # row 2's quoted failure_cause spans lines 2 and 3, so the bad row
+        # after it is the trace's third row but sits on line 4
+        path = write_trace(tmp_path, "multi.csv",
+                           'm1,j1,map,0,100,,,FAIL,"two\nlines"\n'
+                           "m2,j1,map,0,zero,,,SUCCESS,\n")
+        with pytest.raises(MalformedRow) as exc:
+            parse(path)
+        assert (exc.value.path, exc.value.line_no) == (path, 4)
+
     def test_over_long_field_is_a_malformed_row(self, tmp_path):
         # csv refuses a field over csv.field_size_limit() (131,072 chars)
         path = write_trace(tmp_path, "long.csv",
