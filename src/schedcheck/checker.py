@@ -61,7 +61,7 @@ from .model import (PHASE_BY_NAME, GlobalState, StepRecord, WitnessTrace,
                     iter_transitions, make_witness, position_sum, sum_after)
 # compute_rates is no longer called here, but perfbench/tracing.py times it
 # through this module's binding too
-from .rates import RANGES, READERS, compute_rates
+from .rates import PERCENT, RANGES, READERS, compute_rates
 
 STRATEGIES = ("dfs", "dfs-sym")
 
@@ -70,9 +70,7 @@ STRATEGIES = ("dfs", "dfs-sym")
 CHECKPOINT_EVERY = 64
 
 _METRICS = frozenset(READERS)
-_RATE_METRICS = frozenset({"schedulabilityrate", "fairnessrate",
-                           "resourcedeadlockrate", "localityrate",
-                           "failurerate"})
+_RATE_METRICS = frozenset([m for m, r in RANGES.items() if r == PERCENT])
 # in parse order: "<=" must be tried before "<"
 _CMP = {"==": operator.eq, "!=": operator.ne, "<=": operator.le,
         ">=": operator.ge, "<": operator.lt, ">": operator.gt}

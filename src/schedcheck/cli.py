@@ -15,7 +15,8 @@ import json
 import sys
 
 from . import __version__, analysis, checker, trace as trace_mod, whatif
-from .config import CONFIG_READERS, ClusterConfig, load_config, read_settings
+from .config import (CONFIG_READERS, SCHEDULERS, ClusterConfig, load_config,
+                     read_settings)
 from .errors import ConfigInvalid, SchedCheckError, UnknownTask, read_lines
 from .model import PHASE_NAMES, build_cluster
 from .rates import compute_rates
@@ -212,6 +213,9 @@ def cmd_whatif(args) -> int:
             except ValueError:
                 raise SchedCheckError(f"--sweep {args.sweep} takes integer "
                                       f"values, got {args.values!r}") from None
+        field = whatif.SWEEP_FIELDS[args.sweep]
+        for v in values:  # a bad value fails before any warning or leg
+            config.override(**{field: v})
         _warn_vacuous(goal)
         reports = whatif.sweep(config, args.sweep, values, workload, goal,
                                strategy=args.strategy,
@@ -283,7 +287,7 @@ def _build_parser():
         sp.add_argument("--config", help="cluster config file (key=value)")
         sp.add_argument("--trace", nargs="+", required=True,
                         help="workload trace CSV file(s)")
-        sp.add_argument("--scheduler", choices=["fifo", "fair", "capacity"],
+        sp.add_argument("--scheduler", choices=SCHEDULERS,
                         help="override the configured scheduling policy")
         sp.add_argument("--strategy", choices=list(checker.STRATEGIES),
                         default="dfs-sym")
@@ -308,8 +312,7 @@ def _build_parser():
     sp = sub.add_parser("whatif", help="compare configurations")
     common(sp)
     sp.add_argument("--scenario", help="config-override file")
-    sp.add_argument("--sweep", choices=["nodes", "slots", "timeout",
-                                        "scheduler"])
+    sp.add_argument("--sweep", choices=list(whatif.SWEEP_FIELDS))
     sp.add_argument("--values", default="",
                     help="comma-separated sweep values")
     sp.set_defaults(func=cmd_whatif)

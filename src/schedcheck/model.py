@@ -82,11 +82,9 @@ CAUSE_CASCADE = 3
 CAUSE_QUEUEWAIT = 4
 CAUSE_NAMES = ("", "Timeout", "SpeculativeLimit", "Cascade", "QueueWait")
 
-# queue entry codes, as in the scheduler script
+# queue entry codes, as in the scheduler script; a copy's is its kind + 2
 CODE_MAP = 1
 CODE_REDUCE = 2
-CODE_SPEC_MAP = 3
-CODE_SPEC_REDUCE = 4
 
 class TaskRT(NamedTuple):
     """Dynamic per-task state; static attributes live in Statics."""
@@ -180,35 +178,29 @@ class Counters(NamedTuple):
 # the transitions add to in place
 (_TRACKERS, _COMPLETED, _LOCAL, _NONLOCAL, _SCHEDULED, _FIN_WITHIN,
  _FIN_AFTER, _FAILED, _SERVED_FAIR, _DEADLOCK, _FREE) = range(11)
+# by phase: the counter of the tasks that entered it (_Builder.set_task)
+_ENTERED = (None, None, _SCHEDULED, _COMPLETED, _FIN_WITHIN, _FIN_AFTER,
+            _FAILED)
 
 
-# Fingerprint keys are drawn from random.Random(_KEY_SEED), 16 bytes a key;
-# any constant will do. Keys 0 and 1 are those of the scalar and node parts,
-# key k + 2 that of position k, kept at _POSITION_KEYS[k].
-_KEY_SEED = 0x5C4ED_C4EC
+# Fingerprint keys are drawn in turn from one generator with a fixed seed
+# (any constant will do), each 2r + 1 for 128 random bits r, odd and so
+# never zero. The first two are those of the scalar and node parts; the
+# next ones, kept at _POSITION_KEYS[k], those of the positions k in order.
+_KEY_RNG = random.Random(0x5C4ED_C4EC)
+_SCALAR_KEY, _NODES_KEY = [_KEY_RNG.getrandbits(128) << 1 | 1
+                           for _ in range(2)]
 _POSITION_KEYS: list = []
-
-
-def _draw_keys(first: int, stop: int) -> list:
-    """Keys first .. stop - 1: key k is 2r + 1 for the 128 random bits r
-    at bytes 16k .. 16k + 15 of the draw, odd and so never zero. A longer
-    draw starts with the same bytes, so key k is the same whatever was
-    drawn before."""
-    raw = random.Random(_KEY_SEED).randbytes(16 * stop)
-    return [int.from_bytes(raw[16 * k:16 * k + 16], "little") << 1 | 1
-            for k in range(first, stop)]
-
-
-_SCALAR_KEY, _NODES_KEY = _draw_keys(0, 2)
 
 
 def _keys(n: int) -> list:
     """The keys of positions 0 .. n - 1 at least: one table per process,
     which only grows, so every model shares the keys of the largest yet
-    and a set-up makes none again."""
-    have = len(_POSITION_KEYS)
-    if have < n:
-        _POSITION_KEYS.extend(_draw_keys(have + 2, n + 2))
+    and a set-up makes none again. Each key is drawn once, in position
+    order, so key k is the same whatever was drawn before."""
+    draw = _KEY_RNG.getrandbits
+    _POSITION_KEYS.extend([draw(128) << 1 | 1
+                           for _ in range(n - len(_POSITION_KEYS))])
     return _POSITION_KEYS
 
 
@@ -688,6 +680,19 @@ class _Builder:
     (indexed by _TRACKERS .. _FREE) until the state is built, and so are
     the pools' running slots once a slot is written (`used`).
 
+    A move writes task records; the builder derives what follows from
+    them, each fact in one place:
+    - set_task counts a task into the phase it enters (_ENTERED);
+    - set_task puts a task that enters Scheduled in its (node, slot), and
+      frees it as the task goes from Scheduled or Processed to a terminal
+      phase; a copy added to or removed from copies takes or frees its
+      slot, as occupant n + i;
+    - set_task lists each task that leaves Submitted in `taken`, from
+      which finish moves the queue fields and sets the deadlock flags;
+    - set_slot keeps free_slots and the pools' running slots.
+    The moves write the other counters, sched_pending, running, extra and
+    spec_due.
+
     Transitions write records by position, tuple.__new__ over the record's
     fields in order, not by NamedTuple._replace, which costs about four
     times as much a record."""
@@ -714,15 +719,26 @@ class _Builder:
         self.taken = []  # positions that left SUBMITTED, in write order
 
     def set_task(self, i: int, rt: TaskRT):
-        """Set the record of the task at position i. A task that leaves
-        SUBMITTED here goes into `taken`, from which finish moves the
-        queue fields."""
-        st = self.src.statics
+        """Set the record of the task at position i, with the counters and
+        slots that follow from it (see _Builder)."""
         old = self.tasks[i >> 10][(i >> 5) & 31][i & 31]
-        if old.phase != rt.phase:
-            self.changed.append((st.tids[i], old.phase, rt.phase))
+        phase = rt.phase
+        if old.phase != phase:
+            self.changed.append((self.src.statics.tids[i], old.phase, phase))
             if old.phase == SUBMITTED:
                 self.taken.append(i)
+            self.counters[_ENTERED[phase]] += 1
+            if phase == SCHEDULED:
+                self.set_slot(rt.node, rt.slot, i)
+            elif phase > PROCESSED and old.phase in (SCHEDULED, PROCESSED):
+                self.set_slot(old.node, old.slot, None)
+        if rt.copies is not old.copies:
+            for c in old.copies:
+                if c not in rt.copies:
+                    self.set_slot(c[0], c[1], None)
+            for c in rt.copies:
+                if c not in old.copies:
+                    self.set_slot(c[0], c[1], self.src.statics.workload + i)
         self.writes.append((i, old, rt))
         self.tasks = table_set(self.tasks, i, rt)
 
@@ -733,7 +749,9 @@ class _Builder:
         self.jobs = table_set(self.jobs, i, rt)
 
     def set_slot(self, node_i, slot_k, occupant):
-        """Put occupant (see NodeRT), or None to free it, in a slot."""
+        """Put occupant (see NodeRT), or None to free it, in a slot, and
+        count the slot in or out of free_slots and its pool's running
+        slots."""
         node = self.nodes[node_i]
         old = node.slots[slot_k]
         if occupant is not None and old is not None:
@@ -748,8 +766,10 @@ class _Builder:
             used = self.used = list(self.src.pool_running)
         if old is not None:
             used[pool[old % n]] -= 1
+            self.counters[_FREE] += 1
         if occupant is not None:
             used[pool[occupant % n]] += 1
+            self.counters[_FREE] -= 1
 
     def transition(self, name: str) -> Transition:
         """The transition named `name` to the state built from the changes
@@ -928,13 +948,9 @@ def _assign(state: GlobalState, arg) -> Transition:
         table_get(state.tasks, qpos)
     b.set_task(qpos, tuple.__new__(TaskRT, (
         SCHEDULED, start, finish, i, k, local, cause, spec, copies, dl)))
-    b.set_slot(i, k, qpos)
     pending, rank = state.sched_pending, st.rank
     at = bisect_right(pending, rank[qpos], key=rank.__getitem__)
     b.sched_pending = pending[:at] + (qpos,) + pending[at:]
-    c = b.counters
-    c[_SCHEDULED] += 1
-    c[_FREE] -= 1
     return b.transition(f"assign.{st.tids[qpos]}.{i}")
 
 
@@ -953,8 +969,6 @@ def _assign_spec(state: GlobalState, arg) -> Transition:
     b.set_task(p, tuple.__new__(TaskRT, (
         phase, start, finish, node, slot, local, cause, spec,
         copies + ((i, k, state.clock),), dl)))
-    b.set_slot(i, k, st.workload + p)
-    b.counters[_FREE] -= 1
     return b.transition(f"assign_spec.{st.tids[p]}.{i}")
 
 
@@ -981,7 +995,6 @@ def _execute(state: GlobalState, p: int) -> Transition:
     at = bisect_right(running, entry)
     b.running = running[:at] + (entry,) + running[at:]
     c = b.counters
-    c[_COMPLETED] += 1
     c[_LOCAL] += local
     c[_NONLOCAL] += 1 - local
     if start - submit <= cfg.fairness_wait_ms:
@@ -999,32 +1012,17 @@ def _execute(state: GlobalState, p: int) -> Transition:
     return b.transition(f"execute.{st.tids[p]}")
 
 
-def _free_task_slots(b: _Builder, rt: TaskRT):
-    freed = 0
-    if rt.phase == PROCESSED or rt.phase == SCHEDULED:
-        if rt.node >= 0 and b.nodes[rt.node].slots[rt.slot] is not None:
-            b.set_slot(rt.node, rt.slot, None)
-            freed += 1
-    for cn, ck, _cs in rt.copies:
-        if b.nodes[cn].slots[ck] is not None:
-            b.set_slot(cn, ck, None)
-            freed += 1
-    return freed
-
-
 def _cascade(b: _Builder, j: int, skip: int):
     """A failed map fails its job, at position j; all not-yet-finished
     sibling tasks fail. `skip` is the failed map's position."""
     st = b.src.statics
-    c = b.counters
     for i in st.job_tasks[j]:
         if i == skip:
             continue
-        rt = table_get(b.tasks, i)
-        phase, start, _finish, node, slot, local, _cause, spec, _copies, dl = rt
+        phase, start, _finish, node, slot, local, _cause, spec, _copies, dl = \
+            table_get(b.tasks, i)
         if phase in (FINISHED_WITHIN_DEADLINE, FINISHED_AFTER_DEADLINE, FAILED):
             continue
-        freed = _free_task_slots(b, rt)
         if phase == SCHEDULED:
             b.sched_pending = tuple(q for q in b.sched_pending if q != i)
         elif phase == PROCESSED:
@@ -1032,8 +1030,6 @@ def _cascade(b: _Builder, j: int, skip: int):
         b.set_task(i, tuple.__new__(TaskRT, (
             FAILED, start, b.clock, node, slot, local, CAUSE_CASCADE, spec,
             (), dl)))
-        c[_FAILED] += 1
-        c[_FREE] += freed
     # stale speculative entries for this job
     if b.extra:
         b.extra = tuple(p for p in b.extra if st.job_of[p] != j)
@@ -1118,14 +1114,12 @@ def _complete(state: GlobalState, _arg) -> Transition:
     st = state.statics
     cfg = st.config
     ji = st.job_of[ti]
-    rt = table_get(state.tasks, ti)
-    _phase, start, _finish, node, slot, local, rt_cause, spec, _copies, dl = rt
+    _phase, start, _finish, node, slot, local, rt_cause, spec, _copies, dl = \
+        table_get(state.tasks, ti)
     dur = st.duration[ti]
     b = _Builder(state)
     b.clock = end
     b.running = state.running[1:]
-    c = b.counters
-    c[_FREE] += _free_task_slots(b, rt)
 
     if dur > cfg.task_timeout_ms:
         cause = CAUSE_SPECULATIVE if spec > 0 else CAUSE_TIMEOUT
@@ -1136,7 +1130,6 @@ def _complete(state: GlobalState, _arg) -> Transition:
     if cause != CAUSE_NONE:
         b.set_task(ti, tuple.__new__(TaskRT, (
             FAILED, start, end, node, slot, local, cause, spec, (), dl)))
-        c[_FAILED] += 1
         event = f"fail.{st.tids[ti]}"
         if st.kind[ti] == CODE_MAP:
             job = table_get(b.jobs, ji)
@@ -1145,12 +1138,8 @@ def _complete(state: GlobalState, _arg) -> Transition:
                 b.set_job(ji, tuple.__new__(JobRT, job[:-1] + (1,)))
             _cascade(b, ji, ti)
     else:
-        if end <= st.deadline[ti]:
-            phase = FINISHED_WITHIN_DEADLINE
-            c[_FIN_WITHIN] += 1
-        else:
-            phase = FINISHED_AFTER_DEADLINE
-            c[_FIN_AFTER] += 1
+        phase = (FINISHED_WITHIN_DEADLINE if end <= st.deadline[ti]
+                 else FINISHED_AFTER_DEADLINE)
         b.set_task(ti, tuple.__new__(TaskRT, (
             phase, start, end, node, slot, local, rt_cause, spec, (), dl)))
         fin_maps, fin_map_dur, fin_reds, fin_red_dur, failed = \

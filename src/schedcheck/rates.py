@@ -40,14 +40,14 @@ READERS = {
 
 # metric -> (least, greatest) value that any state can give it: a rate is
 # a percentage, a count is never negative, and a model has at least one task
-_PERCENT = (0.0, 100.0)
+PERCENT = (0.0, 100.0)
 _COUNT = (0, float("inf"))
 RANGES = {
-    "schedulabilityrate": _PERCENT,
-    "fairnessrate": _PERCENT,
-    "resourcedeadlockrate": _PERCENT,
-    "localityrate": _PERCENT,
-    "failurerate": _PERCENT,
+    "schedulabilityrate": PERCENT,
+    "fairnessrate": PERCENT,
+    "resourcedeadlockrate": PERCENT,
+    "localityrate": PERCENT,
+    "failurerate": PERCENT,
     "completedscheduled": _COUNT,
     "workload": (1, float("inf")),
     "trackercount": _COUNT,

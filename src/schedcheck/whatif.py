@@ -17,6 +17,10 @@ from .config import ClusterConfig
 from .model import build_cluster, terminal_summary
 from .trace import WorkloadTrace
 
+# swept dimension -> the ClusterConfig field it sets
+SWEEP_FIELDS = {"nodes": "node_count", "slots": "slots_per_node",
+                "timeout": "task_timeout_ms", "scheduler": "scheduler"}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -85,7 +89,7 @@ def _run_leg(config: ClusterConfig, workload: WorkloadTrace, goal: GoalExpr,
     result = verify(initial, goal, strategy=strategy,
                     state_budget=state_budget, time_budget_s=time_budget_s)
     if result.verdict == "unknown":
-        return LegResult(0.0, {}, result.states, False, result.reason)
+        return LegResult(0.0, {}, result.states, False, "unknown")
     # an unreachable goal has no witness to grade: run from the start
     final = run_to_quiescence(result.witness.state if result.witness
                               else initial)
@@ -120,8 +124,7 @@ def sweep(base: ClusterConfig, dimension: str, values, workload: WorkloadTrace,
     value whose configuration equals the base reuses it as its scenario.
     Every value's configuration is built first, so a bad value fails
     before any leg runs."""
-    field = {"nodes": "node_count", "slots": "slots_per_node",
-             "timeout": "task_timeout_ms", "scheduler": "scheduler"}.get(dimension)
+    field = SWEEP_FIELDS.get(dimension)
     if field is None:
         raise ValueError(f"unknown sweep dimension {dimension!r}")
     values = list(values)

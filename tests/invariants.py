@@ -7,8 +7,10 @@ which runs the same checks over a much larger draw count.
 from fixtures import random_workload
 import queue_reference
 
-from schedcheck.model import (CODE_MAP, CODE_REDUCE, FAILED, PROCESSED,
-                              SCHEDULED, SUBMITTED, StepRecord,
+from schedcheck.model import (CODE_MAP, CODE_REDUCE, FAILED,
+                              FINISHED_AFTER_DEADLINE,
+                              FINISHED_WITHIN_DEADLINE, PROCESSED, SCHEDULED,
+                              SUBMITTED, Counters, StepRecord,
                               _pending_before, build_cluster,
                               iter_transitions, replay, terminal_summary)
 from schedcheck.rates import compute_rates
@@ -19,13 +21,30 @@ _PCT_RATES = ("schedulabilityrate", "fairnessrate", "resourcedeadlockrate",
 
 def check_state(state):
     """Invariants that must hold in every reachable state."""
-    occupied = sum(1 for n in state.nodes for s in n.slots if s is not None)
-    on_slots = sum(len(n.slots) for n in state.nodes if n.on)
-    assert occupied + state.counters.free_slots == on_slots, \
-        "slot conservation violated"
-
     st = state.statics
     n = st.workload
+
+    # every counter is a recount of the task records and nodes: a task
+    # holds a node once Scheduled, a start once Processed, a locality once
+    # executed; free slots are the on nodes' slots that hold no occupant
+    recs = [state.task(tid) for tid in st.tids]
+    fair_wait = state.config.fairness_wait_ms
+    recount = Counters(
+        trackercount=sum(node.on for node in state.nodes),
+        completedscheduled=sum(rt.start >= 0 for rt in recs),
+        locality=sum(rt.local == 1 for rt in recs),
+        nonlocality=sum(rt.local == 0 for rt in recs),
+        n_scheduled=sum(rt.node >= 0 for rt in recs),
+        n_fin_within=sum(rt.phase == FINISHED_WITHIN_DEADLINE for rt in recs),
+        n_fin_after=sum(rt.phase == FINISHED_AFTER_DEADLINE for rt in recs),
+        n_failed=sum(rt.phase == FAILED for rt in recs),
+        n_served_fair=sum(rt.start >= 0 and rt.start - submit <= fair_wait
+                          for rt, submit in zip(recs, st.submit)),
+        n_deadlock=sum(rt.dl for rt in recs),
+        free_slots=sum(occ is None for node in state.nodes if node.on
+                       for occ in node.slots))
+    for name, have, want in zip(Counters._fields, state.counters, recount):
+        assert have == want, f"counter {name} is {have}, a recount {want}"
     for p, tid in enumerate(st.tids):
         rt = state.task(tid)
         # Failed reduces are exempt: cascades fail them without executing.

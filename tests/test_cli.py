@@ -8,9 +8,9 @@ import pytest
 
 from fixtures import FIXTURES
 
-from schedcheck import __version__, trace as trace_mod
+from schedcheck import __version__, checker, trace as trace_mod, whatif
 from schedcheck.cli import _parse_scenario_file, main
-from schedcheck.config import ClusterConfig
+from schedcheck.config import ClusterConfig, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_DATA = ROOT / "demos" / "data"
@@ -368,7 +368,6 @@ class TestWhatif:
         assert err.startswith("error: --sweep") and err.count("\n") == 1
 
     def test_bad_swept_value_fails_before_any_leg(self, capsys, monkeypatch):
-        from schedcheck import whatif
         verified = []
         monkeypatch.setattr(whatif, "verify",
                             lambda *args, **kwargs: verified.append(args))
@@ -378,7 +377,31 @@ class TestWhatif:
                      "--sweep", "nodes", "--values", "2,0"])
         assert code == 3 and verified == []
         out, err = capsys.readouterr()
-        assert err.endswith("\nerror: node_count must be >= 1\n") and out == ""
+        assert err == "error: node_count must be >= 1\n" and out == ""
+
+    def test_inconclusive_leg_reads_unknown(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = main(["whatif", "--config", str(DEMO_DATA / "cluster.conf"),
+                     "--trace", str(DEMO_DATA / "wordcount.csv"),
+                     "--properties", str(DEMO_DATA / "goals.props"),
+                     "--sweep", "nodes", "--values", "1,2",
+                     "--state-budget", "3", "--out", str(out)])
+        assert code == 2
+        report = json.loads(out.read_text())
+        for cmp_ in report["comparisons"]:
+            assert cmp_["baseline_verdict"] == "unknown"
+            assert cmp_["scenario_verdict"] == "unknown"
+            assert not cmp_["conclusive"]
+        assert [row["verdict"] for row in report["properties"]] == \
+            ["unknown", "unknown"]
+        config = load_config(str(DEMO_DATA / "cluster.conf"))
+        trace = trace_mod.parse([str(DEMO_DATA / "wordcount.csv")])
+        goal = checker.parse_properties(
+            (DEMO_DATA / "goals.props").read_text())[1][0]
+        (report, _) = whatif.sweep(config, "nodes", [1, 2], trace, goal,
+                                   state_budget=3)
+        assert report.baseline == whatif.LegResult(0.0, {}, 3, False,
+                                                   "unknown")
 
     def test_missing_scenario_errors(self, tmp_path):
         config, trace = write_fixture(tmp_path, "two_jobs_fifo")
