@@ -5,6 +5,19 @@ on the full state, `dfs-sym` on a canonical form that treats nodes no task
 prefers (and slots within a node) as interchangeable, which is sound because
 such nodes are behaviourally identical.
 
+`dfs-sym` also expands a state whose NameNode is off by `activate_nn`
+alone, an ample set (Peled, "All from one, one for all", 1993): that move
+enables and disables no other, commutes with every other, and sets a flag
+that no goal or task assertion reads. So every state with the NameNode off
+has a twin with it on that meets the same goals and has the same moves but
+`activate_nn`, no dead end has the NameNode off, and the cycle proviso
+holds trivially because the relation is acyclic. No move turns the
+NameNode off, so only an initial state is ever reduced, and the reduced
+search is the unreduced one stopped after the root's first subtree,
+`activate_nn`'s: every verdict and witness is the same, and a search that
+runs to its end visits about half the states. `dfs` stays the full,
+unreduced search, the reference the reduced one is checked against.
+
 The search stack is the current path, one entry per state (see _search):
 the state's successor iterator, its fingerprint's position sum, chained
 from its parent's (model.sum_after), and the StepRecord that reached it,
@@ -301,7 +314,13 @@ def _search(initial: GlobalState, strategy: str, state_budget: int,
     (_rebuild); the transitions redrawn there are not counted in
     `transitions`. Every transition is drawn through this module's
     iter_transitions with next() alone, so a tracer may rebind that name
-    to any iterator."""
+    to any iterator.
+
+    Under dfs-sym an initial state with the NameNode off is expanded by its
+    first transition alone, activate_nn (model.enabled_moves lists it
+    first; see the module docstring): its entry draws that one and holds
+    an empty iterator in place of its successors, which _rebuild cannot
+    take for a dropped one (None)."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
     sym = strategy == "dfs-sym"
@@ -327,7 +346,12 @@ def _search(initial: GlobalState, strategy: str, state_budget: int,
     if found(initial, initial.is_terminal()):
         return result(verdicts[0], initial)
 
-    stack = [[None, iter_transitions(initial), initial, 0, psum, None]]
+    successors = iter_transitions(initial)
+    if sym and not initial.namenode_on:
+        # the ample set {activate_nn}: its first move, and its only one
+        stack = [[next(successors), iter(()), initial, 1, psum, None]]
+    else:
+        stack = [[None, successors, initial, 0, psum, None]]
     check_every = 2048
     while stack:
         entry = stack[-1]

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 
 from . import __version__, analysis, checker, trace as trace_mod, whatif
@@ -53,6 +55,25 @@ def _result_json(label, result):
             "strategy": result.strategy,
             "reason": result.reason,
             "witness": _witness_json(result.witness)}
+
+
+def _check_out(out_path) -> None:
+    """Raise the OSError that writing the report to `out_path` would meet
+    at the end of the run, as far as it can be told before: a missing
+    directory, a directory in the file's place, or no write permission."""
+    if not out_path:
+        return
+    parent = os.path.dirname(out_path) or "."
+    if not os.path.isdir(parent):
+        code, path = errno.ENOENT, parent
+    elif os.path.isdir(out_path):
+        code, path = errno.EISDIR, out_path
+    elif not os.access(out_path if os.path.exists(out_path) else parent,
+                       os.W_OK):
+        code, path = errno.EACCES, out_path
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _write_report(report, out_path):
@@ -330,6 +351,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out(args.out)  # before a run whose report would be lost
         return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; --help exits 0

@@ -43,6 +43,10 @@ class SpecInvalid(SchedCheckError):
 class UnknownTask(SchedCheckError):
     """An assertion selector names a task absent from the workload."""
 
+    def __init__(self, task_id):
+        super().__init__(f"unknown task {task_id!r}")
+        self.task_id = task_id
+
 
 class CoverageGap(SchedCheckError):
     """A trace task is missing from the prediction map."""

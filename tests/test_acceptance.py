@@ -16,8 +16,8 @@ import oracle
 
 from schedcheck.analysis import (FAILED_LABEL, FINISHED, breakdown, classify,
                                  df_from_percentages, run_to_quiescence)
-from schedcheck.checker import (GoalExpr, TaskAssertion, parse_properties,
-                                verify, verify_assertion)
+from schedcheck.checker import (STRATEGIES, GoalExpr, TaskAssertion,
+                                parse_properties, verify, verify_assertion)
 from schedcheck.cli import main
 from schedcheck.config import ClusterConfig
 from schedcheck.model import (FAILED, FINISHED_WITHIN_DEADLINE, PROCESSED,
@@ -54,7 +54,8 @@ def _build(name):
 
 def test_criterion_1_oracle_equivalence():
     """Checker verdicts equal the independent brute-force enumerator's on
-    every bundled small fixture, for goal and assertion forms. Exact."""
+    every bundled small fixture, for goal and assertion forms, under the
+    full `dfs` and the reduced `dfs-sym`. Exact."""
     t0 = time.monotonic()
     spent = {"oracle": 0.0, "checker": 0.0}
 
@@ -74,26 +75,30 @@ def test_criterion_1_oracle_equivalence():
         space = timed("oracle", oracle.explore, initial)
         for goal in goals:
             want = timed("oracle", oracle.goal_verdict, space, goal)
-            got = timed("checker", verify, initial, goal, "dfs").verdict
-            assert got == want, f"{name}/{goal.name}: {got} != oracle {want}"
             verdicts[goal.name].append(want)
-            compared += 1
+            for strategy in STRATEGIES:
+                got = timed("checker", verify, initial, goal,
+                            strategy).verdict
+                assert got == want, \
+                    f"{name}/{goal.name}/{strategy}: {got} != oracle {want}"
+                compared += 1
         for tid in initial.statics.tids:
             for mode, phase in (("eventually", FINISHED_WITHIN_DEADLINE),
                                 ("eventually", PROCESSED),
                                 ("never", FAILED)):
                 a = TaskAssertion(tid, mode, phase)
                 want = timed("oracle", oracle.assertion_verdict, space, a)
-                got = timed("checker", verify_assertion, initial, a,
-                            "dfs").verdict
-                assert got == want, \
-                    f"{name}/{tid} {mode}: {got} != oracle {want}"
-                compared += 1
+                for strategy in STRATEGIES:
+                    got = timed("checker", verify_assertion, initial, a,
+                                strategy).verdict
+                    assert got == want, f"{name}/{tid} {mode}/{strategy}: " \
+                        f"{got} != oracle {want}"
+                    compared += 1
     elapsed = time.monotonic() - t0
     print(f"\ncriterion 1: {compared} verdicts across {len(names)} fixtures "
           f"all match the oracle ({elapsed:.1f}s: oracle "
           f"{spent['oracle']:.1f}s, checker {spent['checker']:.1f}s)")
-    assert compared == 240
+    assert compared == 480
     # each failure goal parts from goal0 on some fixture
     for goal in ("clean", "anyfail"):
         assert verdicts[goal] != verdicts["goal0"], goal

@@ -236,7 +236,7 @@ class TestVerify:
         init = build("speculative_copy")
         never = GoalExpr("never", (Atom("workload", "<", 0.0),))
         space = verify(init, never, strategy).states
-        for budget in (1, 2, 7, 150, space - 1):
+        for budget in (1, 2, 7, space // 2, space - 1):
             result = verify(init, never, strategy, state_budget=budget)
             assert (result.verdict, result.states) == ("unknown", budget)
         assert verify(init, never, strategy,
@@ -295,23 +295,34 @@ class TestVerify:
                                                         sym):
         """An exhaustive search visits exactly one state per distinct
         structural key: the fingerprint partition is the canonical_key one,
-        with and without symmetry reduction."""
+        with and without symmetry reduction. `dfs` visits every reachable
+        state; `dfs-sym` expands the initial state by activate_nn alone, so
+        it visits the initial state and one state per symmetric key of the
+        states reachable from activate_nn's successor."""
         init = build(name)
-        reached = {canonical_key(init, sym=False): init}
-        stack = [init]
-        while stack:
-            for t in iter_transitions(stack.pop()):
-                key = canonical_key(t.state, sym=False)
-                if key not in reached:
-                    reached[key] = t.state
-                    stack.append(t.state)
+
+        def reach(start):
+            reached = {canonical_key(start, sym=False): start}
+            stack = [start]
+            while stack:
+                for t in iter_transitions(stack.pop()):
+                    key = canonical_key(t.state, sym=False)
+                    if key not in reached:
+                        reached[key] = t.state
+                        stack.append(t.state)
+            return reached
+
+        reached = reach(init)
         sym_keys = {canonical_key(s, sym=True) for s in reached.values()}
         assert (len(reached), len(sym_keys)) == (plain, sym)
+        after_nn = reach(next(iter_transitions(init)).state)
+        reduced_keys = {canonical_key(s, sym=True) for s in after_nn.values()}
         never = GoalExpr("never", (Atom("workload", "<", 0.0),))
-        for strategy, keys in (("dfs", reached), ("dfs-sym", sym_keys)):
+        for strategy, states in (("dfs", len(reached)),
+                                 ("dfs-sym", 1 + len(reduced_keys))):
             result = verify(init, never, strategy=strategy)
             assert result.verdict == "unreachable"
-            assert result.states == len(keys), strategy
+            assert result.states == states, strategy
 
     def test_fingerprints_partition_like_canonical_keys_on_random_draws(
             self):
@@ -403,7 +414,7 @@ class TestAssertions:
                         oracle.assertion_verdict(init, a), (name, tid, mode)
 
     def test_unknown_task_rejected(self):
-        with pytest.raises(UnknownTask):
+        with pytest.raises(UnknownTask, match="^unknown task 'ghost'$"):
             verify_assertion(build("single_map"),
                              TaskAssertion("ghost", "never", 6))
 
@@ -422,6 +433,79 @@ class TestAssertions:
         res = verify_assertion(build_cluster(config, trace), never_scheduled,
                                strategy=strategy)
         assert res.verdict == "holds", [s.event for s in res.witness.steps]
+
+
+class TestAmpleSet:
+    """dfs-sym expands a NameNode-off state by activate_nn alone. That
+    keeps every verdict only because activate_nn is the state's first move
+    and changes nothing but the NameNode flag, which gates no other move."""
+
+    @pytest.mark.parametrize("policy", ["fifo", "fair", "capacity"])
+    def test_activate_nn_is_first_and_changes_only_the_flag(self, policy):
+        """On every reachable NameNode-off state of every fixture: the
+        first move is activate_nn, its successor differs only in
+        namenode_on, and the state's moves are activate_nn followed by the
+        successor's."""
+        others = [f for f in GlobalState.__slots__ if f != "namenode_on"]
+        checked = 0
+        for fx in FIXTURES.values():
+            init = build_cluster(fx.config.override(scheduler=policy),
+                                 fx.trace)
+            seen = {canonical_key(init, sym=False)}
+            stack = [init]
+            while stack:
+                state = stack.pop()
+                assert not state.namenode_on
+                first, *rest = iter_transitions(state)
+                assert first.event.name == "activate_nn"
+                twin = first.state
+                assert twin.namenode_on
+                for f in others:
+                    assert getattr(twin, f) == getattr(state, f), f
+                assert [first.event.name] + [t.event.name for t in rest] == \
+                    ["activate_nn"] + [t.event.name
+                                       for t in iter_transitions(twin)]
+                checked += 1
+                # no move but activate_nn turns the NameNode on
+                for t in rest:
+                    key = canonical_key(t.state, sym=False)
+                    if key not in seen:
+                        seen.add(key)
+                        stack.append(t.state)
+        assert checked > 1000, checked
+
+    def test_dfs_and_dfs_sym_agree_on_random_draws(self):
+        """The unreduced `dfs` and the reduced `dfs-sym` give the same
+        verdict on the acceptance goals and on each task's `never Failed`
+        and `eventually Processed`, over random workloads. A draw is
+        skipped for size when its `dfs-sym` space exceeds the cap."""
+        _, goals = parse_properties(_GOALS_TEXT)
+        never = GoalExpr("never", (Atom("workload", "<", 0.0),))
+        rng = random.Random(23)
+        draws, cap = 620, 60
+        compared = skipped = 0
+        verdicts = set()
+        for _ in range(draws):
+            init = build_cluster(*random_workload(rng))
+            if verify(init, never, "dfs-sym", state_budget=cap).verdict == \
+                    "unknown":
+                skipped += 1
+                continue
+            checks = [(verify, goal) for goal in goals] + [
+                (verify_assertion, TaskAssertion(tid, mode,
+                                                 PHASE_BY_NAME[phase]))
+                for tid in init.statics.tids
+                for mode, phase in (("never", "Failed"),
+                                    ("eventually", "Processed"))]
+            for check, prop in checks:
+                plain = check(init, prop, "dfs").verdict
+                assert check(init, prop, "dfs-sym").verdict == plain, prop
+                verdicts.add(plain)
+                compared += 1
+        print(f"\n{compared} verdicts agree over {draws - skipped} draws, "
+              f"{skipped} skipped for size")
+        assert draws - skipped >= 300, skipped
+        assert verdicts == {"reachable", "unreachable", "holds", "violated"}
 
 
 class TestSearchStack:
@@ -467,7 +551,7 @@ class TestCheckpoints:
     """Any checkpoint spacing gives the same search: every verdict, count,
     budget reason and witness of the default spacing, on the runs of the
     golden pin (tests/test_explore_golden.py) and a search of each
-    fixture that a budget of 150 states stops or lets end. Spacings of 2,
+    fixture that a budget of 100 states stops or lets end. Spacings of 2,
     3 and 5 rebuild on almost every backtrack. Time-budget stops depend on
     the clock and are left out."""
 
@@ -484,7 +568,7 @@ class TestCheckpoints:
                     out[name, goal.name, strategy] = verify(init, goal,
                                                             strategy)
                 out[name, "budget", strategy] = verify(
-                    init, TestCheckpoints.NEVER, strategy, state_budget=150)
+                    init, TestCheckpoints.NEVER, strategy, state_budget=100)
             for tid in init.statics.tids:
                 for mode, phase in (("never", "Failed"),
                                     ("eventually", "Processed")):

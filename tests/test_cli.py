@@ -172,6 +172,14 @@ class TestVerify:
                          tmp_path, "#assert task bad never Failed;\n")])
         assert code == 1
 
+    def test_unknown_task_is_named(self, tmp_path, capsys):
+        config, trace = write_fixture(tmp_path, "timeout_cascade")
+        code = main(["verify", "--config", config, "--trace", trace,
+                     "--properties", props(
+                         tmp_path, "#assert task nope never Failed;\n")])
+        assert code == 3
+        assert capsys.readouterr().err == "error: unknown task 'nope'\n"
+
 
 class TestAnalyze:
     def test_confusion_matrix_in_report(self, tmp_path, capsys):
@@ -225,6 +233,36 @@ class TestFirstGoalCommands:
             scenario.write_text("task_timeout_ms = 4000\n")
             args += ["--scenario", str(scenario)]
         assert main(args) == 3
+
+
+class TestReportPath:
+    """A report path that cannot be written is an input error found before
+    any search, not after the whole run."""
+
+    @pytest.mark.parametrize("command", ["verify", "analyze", "whatif"])
+    @pytest.mark.parametrize("out", ["missing/report.json", "."])
+    def test_unwritable_out_fails_before_any_verify(
+            self, tmp_path, capsys, monkeypatch, command, out):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("verified before the --out check")
+
+        for owner, name in ((checker, "verify"), (checker, "verify_assertion"),
+                            (whatif, "verify")):
+            monkeypatch.setattr(owner, name, spy)
+        args = [command, "--config", str(DEMO_DATA / "cluster.conf"),
+                "--trace", str(DEMO_DATA / "wordcount.csv"),
+                "--properties", str(DEMO_DATA / "goals.props"),
+                "--out", str(tmp_path / out)]
+        if command == "whatif":
+            args += ["--sweep", "nodes", "--values", "1,2"]
+        assert main(args) == 3
+        assert calls == []
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
 
 
 class TestVacuousWarnings:
