@@ -28,9 +28,10 @@ final = run_to_quiescence(build_cluster(config, workload),
                           on_step=steps.append)
 predicted = predicted_outcomes(final)
 print("model predictions vs trace labels:")
-for rec in workload.records:
-    print(f"  {rec.task_id:4s} predicted {predicted[rec.task_id]:9s} "
-          f"truth {rec.outcome}")
+# a trace is columnar: one tuple per field, tasks in submit order
+for task_id, outcome in zip(workload.task_id, workload.outcome):
+    print(f"  {task_id:4s} predicted {predicted[task_id]:9s} "
+          f"truth {outcome}")
 print()
 
 cm = classify(predicted, workload)

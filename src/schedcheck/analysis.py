@@ -95,14 +95,14 @@ def classify(predicted: dict, truth: WorkloadTrace) -> ConfusionMatrix:
     an outcome flip.
     """
     tp = tn = fp = fn = 0
-    for rec in truth.records:
+    for task_id, outcome in zip(truth.task_id, truth.outcome):
         try:
-            pred = predicted[rec.task_id]
+            pred = predicted[task_id]
         except KeyError:
             raise CoverageGap(
-                f"no prediction for trace task {rec.task_id}") from None
+                f"no prediction for trace task {task_id}") from None
         finished = pred == FINISHED
-        succeeded = rec.outcome == "SUCCESS"
+        succeeded = outcome == "SUCCESS"
         if finished and succeeded:
             tp += 1
         elif not finished and not succeeded:

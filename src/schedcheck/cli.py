@@ -105,7 +105,7 @@ def _obligations(args, workload) -> list:
         "".join(read_lines(args.properties)))
     if not obligations:
         raise SchedCheckError("property file contains no assertions")
-    known = {r.task_id for r in workload.records}
+    known = set(workload.task_id)
     for prop in obligations:
         if isinstance(prop, checker.TaskAssertion) and \
                 prop.task_id not in known:

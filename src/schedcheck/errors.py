@@ -66,10 +66,11 @@ class NotText(SchedCheckError):
 
 def read_lines(path):
     """The lines of the UTF-8 text file at `path`, read as they are drawn,
-    with their line ends untranslated (as csv wants them). A byte that is
-    not UTF-8 raises NotText, which names the file."""
+    with their line ends untranslated (as csv wants them). A byte-order
+    mark at the start is dropped. A byte that is not UTF-8 raises NotText,
+    which names the file."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             yield from fh
     except UnicodeDecodeError as exc:
         raise NotText(f"{path} is not UTF-8 text: {exc}") from None

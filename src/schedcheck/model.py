@@ -217,35 +217,39 @@ class Statics:
         self.config = config
         # Per-task attributes are tuples indexed by task position, per-job
         # ones by job position; idx_of and job_idx_of serve the id boundary.
-        recs = trace.records
-        self.tids = tuple(r.task_id for r in recs)
-        self.idx_of = {t: i for i, t in enumerate(self.tids)}
+        # The trace's own columns are adopted as they are.
+        self.tids = trace.task_id
+        n = len(self.tids)
+        self.idx_of = dict(zip(self.tids, range(n)))
         # position -> rank of its task id in id order, the tie-break order
         # of sched_pending and running: the inverse of the id-order sort
-        by_id = sorted(range(len(recs)), key=self.tids.__getitem__)
-        self.rank = tuple(sorted(range(len(recs)), key=by_id.__getitem__))
-        self.kind = tuple(CODE_MAP if r.kind == MAP else CODE_REDUCE
-                          for r in recs)
-        self.submit = tuple(r.submit_ms for r in recs)
-        self.duration = tuple(r.duration_ms for r in recs)
-        self.deadline = tuple(
-            r.deadline_ms if r.deadline_ms is not None
-            else r.submit_ms + int(config.deadline_factor * r.duration_ms)
-            for r in recs)
-        self.preferred = tuple(r.preferred_node for r in recs)
+        rank = [0] * n
+        for k, p in enumerate(sorted(range(n), key=self.tids.__getitem__)):
+            rank[p] = k
+        self.rank = tuple(rank)
+        self.kind = tuple([CODE_MAP if k == MAP else CODE_REDUCE
+                           for k in trace.kind])
+        self.submit = trace.submit_ms
+        self.duration = trace.duration_ms
+        factor = config.deadline_factor
+        self.deadline = tuple([
+            d if d is not None else s + int(factor * t)
+            for d, s, t in zip(trace.deadline_ms, self.submit,
+                               self.duration)])
+        self.preferred = trace.preferred_node
         self.job_ids = tuple(trace.job_index)
-        self.job_idx_of = {j: i for i, j in enumerate(self.job_ids)}
-        self.job_of = tuple(self.job_idx_of[r.job_id] for r in recs)
+        self.job_idx_of = dict(zip(self.job_ids, range(len(self.job_ids))))
+        self.job_of = trace.job_of
         # the positions of each job's tasks, in trace order
         self.job_tasks = tuple(trace.job_index.values())
-        self.total_maps = tuple(
-            sum(1 for p in ps if self.kind[p] == CODE_MAP)
-            for ps in self.job_tasks)
+        kind = self.kind
+        self.total_maps = tuple([[kind[p] for p in ps].count(CODE_MAP)
+                                 for ps in self.job_tasks])
         # per job, the maps that must finish before a reduce may be assigned
         ss = config.reduce_slowstart
         self.gate = self.total_maps if ss >= 1.0 else tuple(
             math.ceil(ss * total) for total in self.total_maps)
-        self.workload = len(recs)
+        self.workload = n
         # The pool (fair pool, capacity queue, or fifo's one pool) of each
         # task position, and the positions of each pool's tasks in queue
         # order, ending in the sentinel n; built job by job.

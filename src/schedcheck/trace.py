@@ -2,7 +2,9 @@
 
 Trace format is a CSV with header
     task_id,job_id,kind,submit_ms,duration_ms,deadline_ms,preferred_node,outcome,failure_cause
-UTF-8, LF or CRLF, '#' comment lines ignored, empty optional fields allowed.
+UTF-8 (a leading byte-order mark is skipped), LF or CRLF, '#' comment lines
+ignored, empty optional fields allowed; a header row may repeat anywhere.
+A parsed trace is a set of columns, one tuple per TaskRecord field.
 `from_rows` is the adapter seam for converters from other archive formats.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 from .config import read_settings
@@ -22,6 +25,11 @@ HEADER = ("task_id", "job_id", "kind", "submit_ms", "duration_ms",
 
 MAP = "map"
 REDUCE = "reduce"
+
+# the one string object that a parsed kind (by its lower-cased text) or
+# outcome (by its upper-cased text) is stored as
+_KINDS = {MAP: MAP, REDUCE: REDUCE}
+_OUTCOMES = {"SUCCESS": "SUCCESS", "FAIL": "FAIL"}
 
 
 class TaskRecord(NamedTuple):
@@ -38,95 +46,153 @@ class TaskRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class WorkloadTrace:
-    records: tuple            # TaskRecords ordered by (submit_ms, arrival seq)
-    job_index: dict           # job_id -> tuple of record positions
-    task_count: int
+    """A trace as columns: one tuple per TaskRecord field, named as the
+    field, each holding the tasks in (submit_ms, arrival) order. The tasks
+    of a job share one job_id string. `records` zips the columns back into
+    TaskRecords; no program path reads it."""
+    task_id: tuple
+    job_id: tuple
+    kind: tuple
+    submit_ms: tuple
+    duration_ms: tuple
+    deadline_ms: tuple
+    preferred_node: tuple
+    outcome: tuple
+    failure_cause_label: tuple
+    job_of: tuple             # per task, its job's position in job_index
+    job_index: dict           # job_id -> tuple of task positions
     failed_count: int
 
     def __len__(self):
-        return self.task_count
+        return len(self.task_id)
+
+    @property
+    def task_count(self) -> int:
+        return len(self.task_id)
+
+    def columns(self) -> tuple:
+        """The record columns, in TaskRecord field order."""
+        return tuple(getattr(self, f) for f in TaskRecord._fields)
+
+    @property
+    def records(self) -> tuple:
+        return tuple(map(TaskRecord, *self.columns()))
+
+
+def _trace(cols) -> WorkloadTrace:
+    """The trace of the record columns `cols`, in arrival order and with
+    distinct task ids: checked for orphan reduces, then sorted by
+    submit_ms, stably, each job's tasks given one job_id string."""
+    tids, jids, kinds, submits = cols[:4]
+    if list(submits) == sorted(submits):  # as `write` leaves a file
+        cols = list(map(tuple, cols))
+    else:
+        order = sorted(range(len(tids)), key=submits.__getitem__)
+        cols = [tuple(map(c.__getitem__, order)) for c in cols]
+    # the jobs in order of their first task, then each one's position
+    job_pos = dict.fromkeys(cols[1])
+    with_map = set(compress(jids, map(MAP.__eq__, kinds)))
+    if len(with_map) < len(job_pos):
+        # in arrival order, a job without maps starts with its first reduce
+        tid, jid = next((t, j) for t, j in zip(tids, jids)
+                        if j not in with_map)
+        raise OrphanReduce(f"reduce {tid}: job {jid} has no map task")
+    job_ids = tuple(job_pos)
+    for q, j in enumerate(job_ids):
+        job_pos[j] = q
+    job_of = tuple(map(job_pos.__getitem__, cols[1]))
+    cols[1] = tuple(map(job_ids.__getitem__, job_of))
+    tasks = [[] for _ in job_ids]
+    for pos, q in enumerate(job_of):
+        tasks[q].append(pos)
+    outcomes = cols[7]
+    return WorkloadTrace(*cols, job_of,
+                         dict(zip(job_ids, map(tuple, tasks))),
+                         outcomes.count("FAIL"))
 
 
 def from_rows(rows) -> WorkloadTrace:
     """Build a trace from an iterable of (line_no, TaskRecord) pairs."""
     records = []
     seen = set()
-    jobs_with_map = set()
-    reduces_by_job = {}
-    for line_no, rec in rows:
+    for _line_no, rec in rows:
         if rec.task_id in seen:
             raise DuplicateTaskId(rec.task_id)
         seen.add(rec.task_id)
-        if rec.kind == MAP:
-            jobs_with_map.add(rec.job_id)
-        else:
-            reduces_by_job.setdefault(rec.job_id, rec.task_id)
         records.append(rec)
-    for jid, tid in reduces_by_job.items():
-        if jid not in jobs_with_map:
-            raise OrphanReduce(f"reduce {tid}: job {jid} has no map task")
-    records.sort(key=lambda r: r.submit_ms)  # stable: preserves arrival order
-    job_index = {}
-    failed = 0
-    for pos, rec in enumerate(records):
-        job_index.setdefault(rec.job_id, []).append(pos)
-        if rec.outcome == "FAIL":
-            failed += 1
-    job_index = {j: tuple(ps) for j, ps in job_index.items()}
-    return WorkloadTrace(records=tuple(records), job_index=job_index,
-                         task_count=len(records), failed_count=failed)
+    return _trace(list(zip(*records)) or [()] * len(TaskRecord._fields))
 
 
-def _parse_row(path, line_no, row) -> TaskRecord:
-    if len(row) != len(HEADER):
-        raise MalformedRow(path, line_no,
-                           f"expected {len(HEADER)} fields, got {len(row)}")
-    (task_id, job_id, kind, submit, duration,
-     deadline, preferred, outcome, cause) = (f.strip() for f in row)
-    if not task_id or not job_id:
-        raise MalformedRow(path, line_no,
-                           "task_id and job_id must be non-empty")
-    kind = kind.lower()
-    if kind not in (MAP, REDUCE):
-        raise MalformedRow(path, line_no,
-                           f"kind must be map or reduce, got {kind!r}")
-    try:
-        submit_ms = int(submit)
-        duration_ms = int(duration)
-    except ValueError:
-        raise MalformedRow(path, line_no,
-                           "submit_ms and duration_ms must be integers")
-    if submit_ms < 0:
-        raise MalformedRow(path, line_no, "submit_ms must be >= 0")
-    if duration_ms <= 0:
-        raise MalformedRow(path, line_no, "duration_ms must be > 0")
-    try:
-        deadline_ms = int(deadline) if deadline else None
-        preferred_node = int(preferred) if preferred else None
-    except ValueError:
-        raise MalformedRow(path, line_no,
-                           "deadline_ms and preferred_node must be integers")
-    if preferred_node is not None and preferred_node < 0:
-        raise MalformedRow(path, line_no, "preferred_node must be >= 0")
-    outcome = outcome.upper()
-    if outcome not in ("SUCCESS", "FAIL"):
-        raise MalformedRow(path, line_no,
-                           f"outcome must be SUCCESS or FAIL, got {outcome!r}")
-    return TaskRecord(task_id, job_id, kind, submit_ms, duration_ms,
-                      deadline_ms, preferred_node, outcome, cause or None)
+class _Reject(Exception):
+    """A row breaks the trace format; the argument is the reason."""
 
 
-def _iter_file_rows(path):
+def _read_file(path, cols, seen) -> None:
+    """Append each task row of the trace file at `path` to the column
+    lists `cols`, in file order; `seen` holds the task ids read so far."""
+    (tids, jids, kinds, submits, durations, deadlines, preferreds, outcomes,
+     causes) = [c.append for c in cols]
     rows = csv.reader(read_lines(path))
     try:
         # a row is named by the file line it ends on: a quoted field may
         # span lines, so the rows read so far do not count them
         for row in rows:
-            if not row or row[0].lstrip().startswith("#"):
+            if len(row) != len(HEADER):
+                if not row or row[0].lstrip().startswith("#"):
+                    continue
+                raise _Reject(f"expected {len(HEADER)} fields, "
+                              f"got {len(row)}")
+            (task_id, job_id, kind, submit, duration,
+             deadline, preferred, outcome, cause) = map(str.strip, row)
+            if task_id.startswith("#"):
                 continue
-            if [f.strip().lower() for f in row] == list(HEADER):
-                continue
-            yield rows.line_num, _parse_row(path, rows.line_num, row)
+            if not task_id or not job_id:
+                raise _Reject("task_id and job_id must be non-empty")
+            # the exact spelling first: lower() only for the rest
+            kind_c = _KINDS.get(kind) or _KINDS.get(kind.lower())
+            if kind_c is None:
+                # a header row (it may repeat) is the only other row whose
+                # first two fields pass
+                if tuple(map(str.lower, map(str.strip, row))) == HEADER:
+                    continue
+                raise _Reject(
+                    f"kind must be map or reduce, got {kind.lower()!r}")
+            try:
+                submit_ms = int(submit)
+                duration_ms = int(duration)
+            except ValueError:
+                raise _Reject("submit_ms and duration_ms must be integers")
+            if submit_ms < 0:
+                raise _Reject("submit_ms must be >= 0")
+            if duration_ms <= 0:
+                raise _Reject("duration_ms must be > 0")
+            try:
+                deadline_ms = int(deadline) if deadline else None
+                preferred_node = int(preferred) if preferred else None
+            except ValueError:
+                raise _Reject(
+                    "deadline_ms and preferred_node must be integers")
+            if preferred_node is not None and preferred_node < 0:
+                raise _Reject("preferred_node must be >= 0")
+            outcome_c = _OUTCOMES.get(outcome) or \
+                _OUTCOMES.get(outcome.upper())
+            if outcome_c is None:
+                raise _Reject("outcome must be SUCCESS or FAIL, "
+                              f"got {outcome.upper()!r}")
+            if task_id in seen:
+                raise DuplicateTaskId(task_id)
+            seen.add(task_id)
+            tids(task_id)
+            jids(job_id)
+            kinds(kind_c)
+            submits(submit_ms)
+            durations(duration_ms)
+            deadlines(deadline_ms)
+            preferreds(preferred_node)
+            outcomes(outcome_c)
+            causes(cause or None)
+    except _Reject as exc:
+        raise MalformedRow(path, rows.line_num, exc.args[0]) from None
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise MalformedRow(path, rows.line_num, str(exc)) from None
 
@@ -136,27 +202,21 @@ def parse(paths) -> WorkloadTrace:
     re-sorted by submit time (cumulative month loading)."""
     if isinstance(paths, (str, bytes)) or hasattr(paths, "__fspath__"):
         paths = [paths]
-
-    def all_rows():
-        for path in paths:
-            yield from _iter_file_rows(path)
-
-    trace = from_rows(all_rows())
-    if trace.task_count == 0:
+    cols = [[] for _ in TaskRecord._fields]
+    seen = set()
+    for path in paths:
+        _read_file(path, cols, seen)
+    del seen  # freed before the columns are copied
+    if not cols[0]:
         raise EmptyWorkload("trace contains no tasks")
-    return trace
+    return _trace(cols)
 
 
 def write(trace: WorkloadTrace, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HEADER)
-        for r in trace.records:
-            writer.writerow([
-                r.task_id, r.job_id, r.kind, r.submit_ms, r.duration_ms,
-                "" if r.deadline_ms is None else r.deadline_ms,
-                "" if r.preferred_node is None else r.preferred_node,
-                r.outcome, r.failure_cause_label or ""])
+        writer.writerows(zip(*trace.columns()))  # None writes as ""
 
 
 @dataclass(frozen=True)
@@ -172,7 +232,7 @@ class TraceStats:
 def stats(trace: WorkloadTrace) -> TraceStats:
     if trace.task_count == 0:
         raise EmptyWorkload("cannot summarize an empty trace")
-    maps = sum(1 for r in trace.records if r.kind == MAP)
+    maps = trace.kind.count(MAP)
     return TraceStats(
         task_count=trace.task_count,
         job_count=len(trace.job_index),

@@ -23,6 +23,7 @@ class Fixture:
     def __init__(self, name, config, records, notes=""):
         self.name = name
         self.config = config
+        self.records = tuple(records)
         self.trace = mk_trace(records)
         self.notes = notes
 

@@ -5,8 +5,12 @@ off it landed, and each asserts its own wall-clock budget.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from fixtures import ANON3_FIXTURES, FIXTURES, mk_trace, rec
 from invariants import run_suite
 import oracle
 
+import schedcheck
 from schedcheck.analysis import (FAILED_LABEL, FINISHED, breakdown, classify,
                                  df_from_percentages, run_to_quiescence)
 from schedcheck.checker import (STRATEGIES, GoalExpr, TaskAssertion,
@@ -211,6 +216,52 @@ def test_criterion_5_scale_smoke(tmp_path):
     elapsed = time.monotonic() - t0
     print(f"\ncriterion 5: exit {code}, {states} states ({elapsed:.0f}s)")
     assert elapsed < 1800.0
+
+
+# The child reads its peak RSS from VmHWM, which a new program image
+# starts afresh; ru_maxrss would carry over the RSS of the process that
+# spawned it.
+_PARSE_AND_BUILD = """
+import sys, time
+from schedcheck.config import load_config
+from schedcheck.model import build_cluster
+from schedcheck.trace import parse
+t = time.perf_counter()
+state = build_cluster(load_config(sys.argv[2]), parse(sys.argv[1]))
+seconds = time.perf_counter() - t
+with open("/proc/self/status") as fh:
+    kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM"))
+print(seconds, kb / 1024)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc (Linux)")
+def test_criterion_5_trace_and_model_fit_in_85_mb(tmp_path):
+    """Criterion 5's 100,000-task `gen` trace, parsed and built in a fresh
+    process, peaks at no more than 85 MB max RSS, interpreter included
+    (the record-per-row parse and copying build peaked at 100 MB)."""
+    t0 = time.monotonic()
+    spec = tmp_path / "gen.conf"
+    spec.write_text("n_tasks = 100000\nfailure_fraction = 0.0588\n"
+                    "node_count = 8\n")
+    trace = tmp_path / "big.csv"
+    assert main(["gen", "--spec", str(spec), "--seed", "1",
+                 "--out", str(trace)]) == 0
+    config = tmp_path / "cluster.conf"
+    config.write_text("node_count = 8\nslots_per_node = 2\n"
+                      "deadline_factor = 200\n")
+    src = Path(schedcheck.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", _PARSE_AND_BUILD, str(trace), str(config)],
+        env=env, capture_output=True, text=True, check=True).stdout
+    seconds, max_rss_mb = map(float, out.split())
+    elapsed = time.monotonic() - t0
+    print(f"\ncriterion 5 set-up: parse + build_cluster {seconds:.2f}s, "
+          f"max RSS {max_rss_mb:.1f} MB ({elapsed:.0f}s)")
+    assert max_rss_mb <= 85.0
+    assert elapsed < 120.0
 
 
 def test_criterion_6_invariant_suite():

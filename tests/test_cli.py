@@ -497,6 +497,25 @@ class TestGoldenReports:
                 (GOLDEN / f"demo_{command}_report.json").read_text())
             assert without_times(json.loads(out.read_text())) == golden, command
 
+    def test_demo_reports_read_no_trace_records(self, tmp_path,
+                                                monkeypatch):
+        """`verify` and `analyze` read the trace's columns alone: with
+        WorkloadTrace.records disabled the demo reports are unchanged."""
+        def disabled(trace):
+            raise AssertionError("a command read WorkloadTrace.records")
+
+        monkeypatch.setattr(trace_mod.WorkloadTrace, "records",
+                            property(disabled))
+        for command in ("verify", "analyze"):
+            out = tmp_path / f"{command}.json"
+            assert main([command, "--config", str(DEMO_DATA / "cluster.conf"),
+                         "--trace", str(DEMO_DATA / "wordcount.csv"),
+                         "--properties", str(DEMO_DATA / "goals.props"),
+                         "--out", str(out)]) in (0, 1)
+            golden = json.loads(
+                (GOLDEN / f"demo_{command}_report.json").read_text())
+            assert without_times(json.loads(out.read_text())) == golden, command
+
 
 class TestNonUtf8Input:
     """A file argument that is not UTF-8 text exits 3 with one error line

@@ -100,3 +100,13 @@ class TestParsing:
         cfg = load_config(path)
         assert cfg.node_count == 3
         assert cfg.task_timeout_ms == 1000
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "node_count = 3\nscheduler = fair\n"
+        plain = tmp_path / "plain.conf"
+        plain.write_text(text, encoding="utf-8")
+        bom = tmp_path / "bom.conf"
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(bom) == load_config(plain)
+        assert load_config(bom).node_count == 3

@@ -14,15 +14,16 @@ from invariants import check_state
 import queue_reference
 
 import schedcheck.model as model_mod
+from schedcheck import policies
 from schedcheck.config import ClusterConfig
 from schedcheck.errors import EmptyWorkload
 from schedcheck.model import (_NODES_KEY, _SCALAR_KEY, CAUSE_CASCADE,
                               CAUSE_NAMES, CAUSE_QUEUEWAIT, CAUSE_SPECULATIVE,
-                              CAUSE_TIMEOUT, DEFAULT_JOB, DEFAULT_RT, FAILED,
+                              CAUSE_TIMEOUT, CODE_MAP, CODE_REDUCE, DEFAULT_JOB, DEFAULT_RT, FAILED,
                               FINISHED_AFTER_DEADLINE,
                               FINISHED_WITHIN_DEADLINE, PROCESSED, SCHEDULED,
                               SUBMITTED, WAITING_RESOURCES, GlobalState,
-                              StepRecord, TaskRT, _Builder, _complete,
+                              Statics, StepRecord, TaskRT, _Builder, _complete,
                               _node_view, _scalar_key, _sym_rt, build_cluster,
                               canonical_key, iter_transitions, position_sum,
                               replay, sum_after, table_records,
@@ -74,6 +75,79 @@ class TestConstruction:
         st = state.statics
         assert st.deadline[st.idx_of["m1"]] == 100 + 3 * 200
         assert st.deadline[st.idx_of["m2"]] == 123
+
+
+def _reference_statics(config, records) -> dict:
+    """Every Statics field as an earlier, record-by-record construction
+    built it: the records sorted stably by submit time, the jobs indexed by
+    their first task, then each field copied out of the records."""
+    recs = sorted(records, key=lambda r: r.submit_ms)
+    job_index = {}
+    for pos, r in enumerate(recs):
+        job_index.setdefault(r.job_id, []).append(pos)
+    ref = {"config": config, "workload": len(recs)}
+    ref["tids"] = tuple(r.task_id for r in recs)
+    ref["idx_of"] = {t: i for i, t in enumerate(ref["tids"])}
+    by_id = sorted(range(len(recs)), key=ref["tids"].__getitem__)
+    ref["rank"] = tuple(sorted(range(len(recs)), key=by_id.__getitem__))
+    ref["kind"] = tuple(CODE_MAP if r.kind == "map" else CODE_REDUCE
+                        for r in recs)
+    ref["submit"] = tuple(r.submit_ms for r in recs)
+    ref["duration"] = tuple(r.duration_ms for r in recs)
+    ref["deadline"] = tuple(
+        r.deadline_ms if r.deadline_ms is not None
+        else r.submit_ms + int(config.deadline_factor * r.duration_ms)
+        for r in recs)
+    ref["preferred"] = tuple(r.preferred_node for r in recs)
+    ref["job_ids"] = tuple(job_index)
+    ref["job_idx_of"] = {j: i for i, j in enumerate(ref["job_ids"])}
+    ref["job_of"] = tuple(ref["job_idx_of"][r.job_id] for r in recs)
+    ref["job_tasks"] = tuple(tuple(ps) for ps in job_index.values())
+    ref["total_maps"] = tuple(
+        sum(1 for p in ps if ref["kind"][p] == CODE_MAP)
+        for ps in ref["job_tasks"])
+    ss = config.reduce_slowstart
+    ref["gate"] = ref["total_maps"] if ss >= 1.0 else tuple(
+        math.ceil(ss * total) for total in ref["total_maps"])
+    job_pool, n_pools = policies.pool_table(config, ref["job_ids"])
+    ref["pool"] = tuple(job_pool[j] for j in ref["job_of"])
+    tasks = [[] for _ in range(n_pools)]
+    for q, ps in zip(job_pool, ref["job_tasks"]):
+        tasks[q].extend(ps)
+    ref["pool_tasks"] = tuple(tuple(sorted(ps)) + (len(recs),)
+                              for ps in tasks)
+    ref["named_nodes"] = frozenset(
+        p for p in ref["preferred"]
+        if p is not None and 0 <= p < config.node_count)
+    base = config.slots_per_node + 1
+    ref["class_weight"] = (0, 2, 2 * base, 2 * base ** 2, 2 * base ** 3)
+    ref["keys"] = model_mod._keys(len(recs) + len(ref["job_ids"]))
+    return ref
+
+
+class TestStaticsFromColumns:
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_every_field_matches_the_record_by_record_build(self, name):
+        fx = FIXTURES[name]
+        for scheduler in ("fifo", "fair", "capacity"):
+            for slowstart in (0.5, 1.0):
+                config = fx.config.override(scheduler=scheduler,
+                                            reduce_slowstart=slowstart)
+                st = Statics(config, fx.trace)
+                ref = _reference_statics(config, fx.records)
+                assert set(ref) == set(Statics.__slots__)
+                for field in Statics.__slots__:
+                    assert getattr(st, field) == ref[field], \
+                        (scheduler, slowstart, field)
+
+    def test_trace_columns_are_adopted_uncopied(self):
+        fx = FIXTURES["two_jobs_fifo"]
+        st = Statics(fx.config, fx.trace)
+        assert st.tids is fx.trace.task_id
+        assert st.submit is fx.trace.submit_ms
+        assert st.duration is fx.trace.duration_ms
+        assert st.preferred is fx.trace.preferred_node
+        assert st.job_of is fx.trace.job_of
 
 
 class TestActivation:

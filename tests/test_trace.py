@@ -1,11 +1,14 @@
+import codecs
+import random
 from dataclasses import fields
 
 import pytest
 
 from schedcheck.errors import (DuplicateTaskId, EmptyWorkload, MalformedRow,
                                OrphanReduce, SpecInvalid)
-from schedcheck.trace import (GeneratorSpec, parse, parse_generator_spec,
-                              stats, synthesize, write)
+from schedcheck.trace import (MAP, REDUCE, GeneratorSpec, TaskRecord,
+                              from_rows, parse, parse_generator_spec, stats,
+                              synthesize, write)
 
 HEADER = ("task_id,job_id,kind,submit_ms,duration_ms,deadline_ms,"
           "preferred_node,outcome,failure_cause\n")
@@ -106,6 +109,14 @@ class TestParse:
         with pytest.raises(EmptyWorkload):
             parse(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        body = "m1,j1,map,0,100,,,SUCCESS,\nr1,j1,reduce,5,200,,,FAIL,x\n"
+        plain = write_trace(tmp_path, "plain.csv", body)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert parse(bom) == parse(plain)
+        assert parse(bom).task_id == ("m1", "r1")
+
     def test_write_parse_roundtrip(self, tmp_path):
         spec = GeneratorSpec(n_tasks=50)
         trace = synthesize(spec, seed=7)
@@ -113,6 +124,123 @@ class TestParse:
         write(trace, out)
         again = parse(out)
         assert again.records == trace.records
+
+
+# Spellings the parser must read as the same field.
+_HEADER_ROWS = (HEADER.strip(), HEADER.strip().upper(),
+                ",".join(f" {f}\t" for f in HEADER.strip().split(",")))
+_COMMENTS = ("# month 2", "  #a,b", "#m9,j9,map,0,100,,,SUCCESS,", "")
+_CAUSES = (None, "timeout", "two\nlines", "a, b", 'said "no"')
+
+
+def _random_records(rng, n, prefix, jobs, has_map):
+    """n records of the jobs `jobs`; a job's first task is a map, so no
+    reduce is an orphan. Submit times repeat, within and across files."""
+    records = []
+    for i in range(n):
+        job = rng.choice(jobs)
+        kind = rng.choice((MAP, REDUCE)) if job in has_map else MAP
+        has_map.add(job)
+        fail = rng.random() < 0.3
+        records.append(TaskRecord(
+            f"{prefix}{i}", job, kind, 10 * rng.randrange(5),
+            rng.randint(1, 1000), rng.choice((None, rng.randint(0, 5000))),
+            rng.choice((None, None, rng.randrange(4))),
+            "FAIL" if fail else "SUCCESS",
+            rng.choice(_CAUSES) if fail else None))
+    return records
+
+
+def _render(rng, r):
+    """One CSV row of `r`, its fields padded with blanks and cased at
+    random; the cause is quoted (a quoted field may span lines)."""
+    def pad(text):
+        return rng.choice(("", " ", "\t")) + text + rng.choice(("", " "))
+
+    def opt(value):
+        return "" if value is None else str(value)
+
+    cause = ("" if r.failure_cause_label is None else
+             '"' + r.failure_cause_label.replace('"', '""') + '"')
+    return ",".join([pad(r.task_id), pad(r.job_id),
+                     pad(rng.choice((r.kind, r.kind.upper(),
+                                     r.kind.capitalize()))),
+                     pad(str(r.submit_ms)), pad(str(r.duration_ms)),
+                     pad(opt(r.deadline_ms)), pad(opt(r.preferred_node)),
+                     pad(rng.choice((r.outcome, r.outcome.lower()))),
+                     cause])
+
+
+def _write_random_file(rng, path, records, bad_row=None):
+    """Write `records` as a trace file with a random line end, comments,
+    blank lines and repeated header rows, and maybe a byte-order mark.
+    With `bad_row`, put it after a random record; return its line."""
+    end = rng.choice(("\n", "\r\n"))
+    lines = [rng.choice(_HEADER_ROWS)]
+    bad_at = rng.randrange(len(records) + 1)
+    for i, r in enumerate(records):
+        if i == bad_at and bad_row is not None:
+            lines.append(bad_row)
+            bad_line = sum(s.count("\n") + 1 for s in lines)
+        while rng.random() < 0.2:
+            lines.append(rng.choice(_COMMENTS + _HEADER_ROWS))
+        lines.append(_render(rng, r))
+    if bad_at == len(records) and bad_row is not None:
+        lines.append(bad_row)
+        bad_line = sum(s.count("\n") + 1 for s in lines)
+    text = end.join(lines) + end
+    encoding = "utf-8-sig" if rng.random() < 0.3 else "utf-8"
+    with open(path, "w", encoding=encoding, newline="") as fh:
+        fh.write(text)
+    return bad_line if bad_row is not None else None
+
+
+class TestColumnParse:
+    """The column parse against from_rows over the same TaskRecords."""
+
+    def test_parse_equals_from_rows_on_random_files(self, tmp_path):
+        rng = random.Random(24)
+        for draw in range(150):
+            has_map = set()
+            jobs = [f"j{k}" for k in range(rng.randint(1, 4))]
+            a = _random_records(rng, rng.randint(1, 12), "a", jobs, has_map)
+            b = _random_records(rng, rng.randint(0, 12), "b", jobs, has_map)
+            paths = [tmp_path / f"{draw}a.csv", tmp_path / f"{draw}b.csv"]
+            _write_random_file(rng, paths[0], a)
+            _write_random_file(rng, paths[1], b)
+            expected = from_rows(enumerate(a + b, 1))
+            got = parse(paths)
+            assert got.records == expected.records, draw
+            # a stable sort keeps equal submit times in arrival order
+            assert got.records == tuple(sorted(a + b,
+                                               key=lambda r: r.submit_ms))
+            assert got == expected, draw
+            # one job_id string a job, shared by its tasks
+            assert all(got.job_id[p] is j
+                       for j, ps in got.job_index.items() for p in ps)
+
+    @pytest.mark.parametrize("bad_row, reason", [
+        ("x,j0,map,0,0,,,SUCCESS,", "duration_ms must be > 0"),
+        ("x,j0,Shuffle,0,1,,,SUCCESS,",
+         "kind must be map or reduce, got 'shuffle'"),
+        ("x,j0,map,0,1,,,maybe,", "outcome must be SUCCESS or FAIL, "
+                                  "got 'MAYBE'"),
+        ("x,,map,0,1,,,SUCCESS,", "task_id and job_id must be non-empty"),
+        ("x,j0,map,0,1", "expected 9 fields, got 5"),
+        ("task_id,job_id,kind,submit_ms,duration_ms,deadline_ms,"
+         "preferred_node,outcome",
+         "expected 9 fields, got 8"),
+    ])
+    def test_bad_row_is_named_by_its_line(self, tmp_path, bad_row, reason):
+        rng = random.Random(bad_row)
+        for draw in range(20):
+            records = _random_records(rng, rng.randint(0, 10), "t", ["j0"],
+                                      set())
+            path = tmp_path / f"{draw}.csv"
+            line = _write_random_file(rng, path, records, bad_row)
+            with pytest.raises(MalformedRow) as exc:
+                parse(path)
+            assert (exc.value.line_no, exc.value.reason) == (line, reason)
 
 
 class TestStats:
