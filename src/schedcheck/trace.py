@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass
-from itertools import compress
+from operator import itemgetter
 from typing import NamedTuple
 
 from .config import read_settings
@@ -44,7 +44,7 @@ class TaskRecord(NamedTuple):
     failure_cause_label: str | None
 
 
-@dataclass(frozen=True)
+@dataclass
 class WorkloadTrace:
     """A trace as columns: one tuple per TaskRecord field, named as the
     field, each holding the tasks in (submit_ms, arrival) order. The tasks
@@ -81,34 +81,37 @@ class WorkloadTrace:
 
 def _trace(cols) -> WorkloadTrace:
     """The trace of the record columns `cols`, in arrival order and with
-    distinct task ids: checked for orphan reduces, then sorted by
-    submit_ms, stably, each job's tasks given one job_id string."""
-    tids, jids, kinds, submits = cols[:4]
-    if list(submits) == sorted(submits):  # as `write` leaves a file
-        cols = list(map(tuple, cols))
-    else:
-        order = sorted(range(len(tids)), key=submits.__getitem__)
-        cols = [tuple(map(c.__getitem__, order)) for c in cols]
-    # the jobs in order of their first task, then each one's position
-    job_pos = dict.fromkeys(cols[1])
-    with_map = set(compress(jids, map(MAP.__eq__, kinds)))
-    if len(with_map) < len(job_pos):
+    distinct task ids: sorted by submit_ms, stably, each job's tasks given
+    one job_id string, and checked for orphan reduces."""
+    tids, jids, _, submits = cols[:4]
+    # one stable permutation by submit_ms, applied to every column (an
+    # itemgetter of one index gives the item, not a tuple)
+    order = sorted(range(len(tids)), key=submits.__getitem__)
+    cols = list(map(itemgetter(*order) if len(order) > 1 else tuple, cols))
+    # per job id, in order of the job's first task: [job position, task
+    # positions...]
+    jobs = {}
+    job_of = []
+    with_map = set()
+    for pos, (j, k) in enumerate(zip(cols[1], cols[2])):
+        entry = jobs.get(j)
+        if entry is None:
+            jobs[j] = entry = [len(jobs)]
+        entry.append(pos)
+        job_of.append(entry[0])
+        if k == MAP:
+            with_map.add(j)
+    if len(with_map) < len(jobs):
         # in arrival order, a job without maps starts with its first reduce
         tid, jid = next((t, j) for t, j in zip(tids, jids)
                         if j not in with_map)
         raise OrphanReduce(f"reduce {tid}: job {jid} has no map task")
-    job_ids = tuple(job_pos)
-    for q, j in enumerate(job_ids):
-        job_pos[j] = q
-    job_of = tuple(map(job_pos.__getitem__, cols[1]))
+    job_ids = tuple(jobs)
+    job_of = tuple(job_of)
     cols[1] = tuple(map(job_ids.__getitem__, job_of))
-    tasks = [[] for _ in job_ids]
-    for pos, q in enumerate(job_of):
-        tasks[q].append(pos)
-    outcomes = cols[7]
     return WorkloadTrace(*cols, job_of,
-                         dict(zip(job_ids, map(tuple, tasks))),
-                         outcomes.count("FAIL"))
+                         {j: tuple(entry[1:]) for j, entry in jobs.items()},
+                         cols[7].count("FAIL"))
 
 
 def from_rows(rows) -> WorkloadTrace:
@@ -121,10 +124,6 @@ def from_rows(rows) -> WorkloadTrace:
         seen.add(rec.task_id)
         records.append(rec)
     return _trace(list(zip(*records)) or [()] * len(TaskRecord._fields))
-
-
-class _Reject(Exception):
-    """A row breaks the trace format; the argument is the reason."""
 
 
 def _read_file(path, cols, seen) -> None:
@@ -140,14 +139,16 @@ def _read_file(path, cols, seen) -> None:
             if len(row) != len(HEADER):
                 if not row or row[0].lstrip().startswith("#"):
                     continue
-                raise _Reject(f"expected {len(HEADER)} fields, "
-                              f"got {len(row)}")
+                raise MalformedRow(path, rows.line_num,
+                                   f"expected {len(HEADER)} fields, "
+                                   f"got {len(row)}")
             (task_id, job_id, kind, submit, duration,
              deadline, preferred, outcome, cause) = map(str.strip, row)
             if task_id.startswith("#"):
                 continue
             if not task_id or not job_id:
-                raise _Reject("task_id and job_id must be non-empty")
+                raise MalformedRow(path, rows.line_num,
+                                   "task_id and job_id must be non-empty")
             # the exact spelling first: lower() only for the rest
             kind_c = _KINDS.get(kind) or _KINDS.get(kind.lower())
             if kind_c is None:
@@ -155,30 +156,38 @@ def _read_file(path, cols, seen) -> None:
                 # first two fields pass
                 if tuple(map(str.lower, map(str.strip, row))) == HEADER:
                     continue
-                raise _Reject(
-                    f"kind must be map or reduce, got {kind.lower()!r}")
+                raise MalformedRow(path, rows.line_num,
+                                   "kind must be map or reduce, "
+                                   f"got {kind.lower()!r}")
             try:
                 submit_ms = int(submit)
                 duration_ms = int(duration)
             except ValueError:
-                raise _Reject("submit_ms and duration_ms must be integers")
+                raise MalformedRow(
+                    path, rows.line_num,
+                    "submit_ms and duration_ms must be integers")
             if submit_ms < 0:
-                raise _Reject("submit_ms must be >= 0")
+                raise MalformedRow(path, rows.line_num,
+                                   "submit_ms must be >= 0")
             if duration_ms <= 0:
-                raise _Reject("duration_ms must be > 0")
+                raise MalformedRow(path, rows.line_num,
+                                   "duration_ms must be > 0")
             try:
                 deadline_ms = int(deadline) if deadline else None
                 preferred_node = int(preferred) if preferred else None
             except ValueError:
-                raise _Reject(
+                raise MalformedRow(
+                    path, rows.line_num,
                     "deadline_ms and preferred_node must be integers")
             if preferred_node is not None and preferred_node < 0:
-                raise _Reject("preferred_node must be >= 0")
+                raise MalformedRow(path, rows.line_num,
+                                   "preferred_node must be >= 0")
             outcome_c = _OUTCOMES.get(outcome) or \
                 _OUTCOMES.get(outcome.upper())
             if outcome_c is None:
-                raise _Reject("outcome must be SUCCESS or FAIL, "
-                              f"got {outcome.upper()!r}")
+                raise MalformedRow(path, rows.line_num,
+                                   "outcome must be SUCCESS or FAIL, "
+                                   f"got {outcome.upper()!r}")
             if task_id in seen:
                 raise DuplicateTaskId(task_id)
             seen.add(task_id)
@@ -191,8 +200,6 @@ def _read_file(path, cols, seen) -> None:
             preferreds(preferred_node)
             outcomes(outcome_c)
             causes(cause or None)
-    except _Reject as exc:
-        raise MalformedRow(path, rows.line_num, exc.args[0]) from None
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise MalformedRow(path, rows.line_num, str(exc)) from None
 

@@ -104,6 +104,28 @@ class TestParse:
         with pytest.raises(OrphanReduce):
             parse(path)
 
+    def test_orphan_is_named_by_its_first_reduce_in_file_order(self,
+                                                               tmp_path):
+        # in submit order j2's r2 comes first; in file order, j1's r1
+        path = write_trace(tmp_path, "orphans.csv",
+                           "m1,j0,map,0,100,,,SUCCESS,\n"
+                           "r1,j1,reduce,50,100,,,SUCCESS,\n"
+                           "r2,j2,reduce,0,100,,,SUCCESS,\n"
+                           "r3,j1,reduce,0,100,,,SUCCESS,\n")
+        with pytest.raises(OrphanReduce,
+                           match="^reduce r1: job j1 has no map task$"):
+            parse(path)
+
+    def test_one_task_and_no_task(self, tmp_path):
+        one = parse(write_trace(tmp_path, "one.csv",
+                                "m1,j1,map,7,100,,,SUCCESS,\n"))
+        assert one.columns() == (("m1",), ("j1",), (MAP,), (7,), (100,),
+                                 (None,), (None,), ("SUCCESS",), (None,))
+        assert (one.job_of, one.job_index) == ((0,), {"j1": (0,)})
+        none = from_rows([])
+        assert none.columns() == ((),) * len(TaskRecord._fields)
+        assert (none.task_count, none.job_index) == (0, {})
+
     def test_empty_trace(self, tmp_path):
         path = write_trace(tmp_path, "empty.csv", "")
         with pytest.raises(EmptyWorkload):
